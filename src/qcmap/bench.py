@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -103,35 +104,45 @@ def run_benchmark(qubits: int, gate_range, samples: int, seed: int, *,
                   threads: int = 1, state_cap: int = DEFAULT_STATE_CAP,
                   strict: bool = False) -> list[ExperimentRow]:
     """Solve `samples` random circuits per gate count on a linear graph
-    (graph_nodes nodes, default one per qubit) and average the costs."""
+    (graph_nodes nodes, default one per qubit) and average the costs.
+
+    All gate counts share one process pool of min(threads, CPUs, chunks)
+    workers; with one worker the solves run in this process.
+    """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if threads < 1:
         raise ValueError("threads must be at least 1")
     nodes = qubits if graph_nodes is None else graph_nodes
-    rows = []
-    for gt in gate_range:
+    gates = list(gate_range)
+    workers = min(threads, os.cpu_count() or 1)
+    step = -(-samples // workers)
+    jobs = []
+    for gt in gates:
         seeds = [_child_seed(seed, qubits, gt, i) for i in range(samples)]
-        jobs = []
-        if threads == 1:
-            jobs.append((qubits, gt, two_qubit_fraction, seeds, nodes, state_cap, strict))
-            parts = [_solve_chunk(job) for job in jobs]
-        else:
-            step = -(-samples // threads)
-            for lo in range(0, samples, step):
-                jobs.append((qubits, gt, two_qubit_fraction, seeds[lo:lo + step],
-                             nodes, state_cap, strict))
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(_solve_chunk, jobs))
-        total = sum(p[0] for p in parts)
-        elapsed = sum(p[1] for p in parts)
-        rows.append(ExperimentRow(
+        for lo in range(0, samples, step):
+            jobs.append((qubits, gt, two_qubit_fraction, seeds[lo:lo + step],
+                         nodes, state_cap, strict))
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        parts = [_solve_chunk(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_solve_chunk, jobs))
+    totals = {gt: [0, 0.0] for gt in gates}
+    for job, (total, elapsed) in zip(jobs, parts):
+        acc = totals[job[1]]
+        acc[0] += total
+        acc[1] += elapsed
+    return [
+        ExperimentRow(
             gt=gt, qt=qubits,
-            gt_add=round(total / samples, 3),
-            time=elapsed / samples,
+            gt_add=round(totals[gt][0] / samples, 3),
+            time=totals[gt][1] / samples,
             samples=samples, seed=seed,
-        ))
-    return rows
+        )
+        for gt in gates
+    ]
 
 
 def emit_csv(rows: list[ExperimentRow]) -> str:

@@ -1,28 +1,41 @@
 """Exact minimal-SWAP mapping of a circuit onto a coupling graph.
 
-The solver searches breadth-first over placements.  Each search state is
-a placement plus the inclusion-minimal set of circuit fragments still
-pending for it; one BFS level applies every graph edge as a SWAP to
-every state, re-reduces each fragment, and merges states that land on
-the same placement.  The first level producing a fully-executed fragment
-is the optimal SWAP count.
+A search state is a placement plus a pending circuit fragment: the gates
+not yet executed.  Applying a graph edge as a SWAP gives a new placement,
+on which the fragment is re-reduced; a state whose fragment is empty has
+executed the whole circuit, and its level (the SWAPs applied so far) is
+its cost.
 
-All initial placements are injected as level-0 states of one shared
-search, which returns exactly the minimum over per-placement runs (a
-smaller fragment can never finish later than a larger one, so the merge
-rule preserves per-placement optima).  Plans are recovered from
-per-fragment parent pointers, which makes the returned witness replay
-correctly under independent verification.
+One best-first (A*) search runs over all initial placements at once.  A
+state at level L is ordered by f = L + h, where h is the largest distance
+between the operands of a pending two-qubit gate, minus one.  A SWAP
+moves each qubit one hop, so it lowers h by at most one: h never
+overestimates the SWAPs still needed and f never drops along a path, so
+the first finished fragment is optimal.  States wait in f-buckets, swept
+in increasing f.  Bucket K is seeded with the placements whose h is
+exactly K, found by backtracking over partial placements that keep every
+interacting pair within K+1 hops; at K = 0 that is the embedding test of
+the interaction topology.  Each seed is expanded as soon as it is
+enumerated, and inside a bucket the deepest level goes first, so the
+bucket that holds the optimum stops at its first finished fragment.
+
+Fragments reached on one placement at one level are merged to the
+inclusion-minimal ones (a smaller fragment never finishes later).  One
+closed map keeps the lowest level at which each (placement, fragment) was
+reached, and a state is filed again only when it is reached lower.  As f
+never drops along a path, a state is expanded at most once, at its
+lowest level.  The closed map also stores each state's parent and
+SWAP, which replay into the witness plan that independent verification
+checks.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .circuits import Circuit, build_topology_graph
+from .circuits import Circuit
 from .coupling import CouplingGraph
 from .errors import ParseError, ResourceLimitError
 from .subcircuits import Subcircuit, SubcircuitDescriptor, descriptor
@@ -103,162 +116,416 @@ class MapResult:
 
 @dataclass(frozen=True)
 class SearchState:
-    """One BFS state: a placement and its minimal pending fragments."""
+    """One frontier entry: a placement and its minimal pending fragments."""
 
     placement: Placement
     fragments: tuple[SubcircuitDescriptor, ...]
 
 
 class _CircuitInfo:
-    """Preprocessed per-solve tables: operand pairs and precedence masks."""
+    """Preprocessed per-solve tables: operand pairs, per-gate qubit masks
+    and the qubit order of the seed backtrack."""
 
     def __init__(self, c: Circuit):
-        self.circuit = c
+        self.all_qubits = (1 << c.num_qubits) - 1
+        self.num_gates = len(c.gates)
         self.full_mask = (1 << len(c.gates)) - 1
-        self.pred = c.predecessor_masks
-        pairs = sorted({
-            (min(g.qubits), max(g.qubits)) for g in c.gates if g.is_two_qubit
-        })
-        index = {p: i for i, p in enumerate(pairs)}
-        self.pairs = pairs
-        # Per gate: index into pairs, or -1 for single-qubit gates.
-        self.gate_pair = tuple(
-            index[(min(g.qubits), max(g.qubits))] if g.is_two_qubit else -1
-            for g in c.gates
+        # Per gate: the bitmask of its qubits and the index of its operand
+        # pair among the distinct pairs in order of first use (-1 for
+        # single-qubit gates).
+        index: dict[tuple[int, int], int] = {}
+        partners = [0] * c.num_qubits
+        gate_qubits = []
+        gate_pair = []
+        for g in c.gates:
+            if len(g.qubits) == 2:
+                a, b = g.qubits
+                gate_qubits.append(1 << a | 1 << b)
+                key = (a, b) if a < b else (b, a)
+                pi = index.get(key)
+                if pi is None:
+                    pi = index[key] = len(index)
+                    partners[a] |= 1 << b
+                    partners[b] |= 1 << a
+                gate_pair.append(pi)
+            else:
+                gate_qubits.append(1 << g.qubits[0])
+                gate_pair.append(-1)
+        self.gate_qubits = tuple(gate_qubits)
+        self.gate_pair = tuple(gate_pair)
+        self.pairs = list(index)
+        # Seed backtrack order: the interacting qubits, each next one the
+        # qubit with most partners already placed (then most partners, then
+        # lowest index), followed by the idle qubits.
+        order: list[int] = []
+        placed = 0
+        rest = [q for q in range(c.num_qubits) if partners[q]]
+        while rest:
+            best, best_key = -1, (-1, -1)
+            for q in rest:
+                key = ((partners[q] & placed).bit_count(), partners[q].bit_count())
+                if key > best_key:
+                    best, best_key = q, key
+            order.append(best)
+            rest.remove(best)
+            placed |= 1 << best
+        self.num_active = len(order)
+        order += [q for q in range(c.num_qubits) if not partners[q]]
+        self.order = tuple(order)
+        self.degree = tuple(partners[q].bit_count() for q in order)
+        # Per backtrack position: the partners placed before it.
+        self.placed_partners = tuple(
+            tuple(r for r in order[:i] if partners[q] >> r & 1) for i, q in enumerate(order)
         )
 
 
-def _run_search(info: _CircuitInfo, graph: CouplingGraph, sources, *, strict: bool,
-                state_cap: int, max_levels: int | None, on_level=None):
-    """Shared BFS engine.
+def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int,
+           symmetries: list[tuple[int, ...]]):
+    """Initial placements with h exactly k, in backtracking order.
 
-    sources yields level-0 placements (tuples) in canonical order.  Returns
-    (cost, initial_placement, swaps) on success, None when max_levels pass
-    without an executed fragment or (strict mode) the frontier dies.
+    Every interacting pair lies within k+1 hops and, for k > 0, some pair
+    exactly k+1 hops apart.  Partial placements that break the hop limit
+    are never extended.  With symmetries, only the lexicographic minimum
+    of each orbit is yielded.
     """
-    edges = graph.sorted_edges
-    adj = graph.adjacency_masks
+    n = graph.num_nodes
+    dist = graph.distances
+    reach = []  # per node, the other nodes within k+1 hops
+    for row in dist:
+        r = 0
+        for w, d in enumerate(row):
+            if 0 < d <= k + 1:
+                r |= 1 << w
+        reach.append(r)
+    # Per position, the nodes with room for all of the qubit's partners.
+    fits = []
+    for d in info.degree:
+        r = 0
+        for x, near in enumerate(reach):
+            if near.bit_count() >= d:
+                r |= 1 << x
+        fits.append(r)
+    order, back, pairs = info.order, info.placed_partners, info.pairs
+    num_active, num_qubits = info.num_active, len(order)
+    if k and not num_active:
+        return  # nothing interacts: every seed has h = 0
+    if not num_qubits:
+        yield ()
+        return
+    pos = [0] * num_qubits
+    # Depth-first over backtrack positions: cands[i] holds the nodes still
+    # to try at position i, free[i] the nodes left free before it.
+    cands = [0] * num_qubits
+    free = [0] * (num_qubits + 1)
+    free[0] = (1 << n) - 1
+    cands[0] = free[0] & fits[0]
+    i = 0
+    while i >= 0:
+        cand = cands[i]
+        if not cand:
+            i -= 1
+            continue
+        low = cand & -cand
+        cands[i] = cand ^ low
+        pos[order[i]] = low.bit_length() - 1
+        i += 1
+        if i == num_active and k and all(dist[pos[a]][pos[b]] <= k for a, b in pairs):
+            i -= 1  # every pair within k hops: a seed of a lower bucket
+            continue
+        if i == num_qubits:
+            i -= 1
+            s = tuple(pos)
+            if not symmetries or all(s <= tuple(p[x] for x in s) for p in symmetries):
+                yield s
+            continue
+        free[i] = free[i - 1] ^ low
+        cand = free[i] & fits[i]
+        for r in back[i]:
+            cand &= reach[pos[r]]
+        cands[i] = cand
+
+
+# A closed-map value packs the parent link above the level: (parent key
+# + 1) * nodes**2 + a * nodes + b for the SWAP on edge (a, b), a < b, and
+# 0 for a seed.
+_LEVEL_BITS = 32
+_LEVEL_MASK = (1 << _LEVEL_BITS) - 1
+
+
+def _search(info: _CircuitInfo, graph: CouplingGraph, seeds, seed_max: int, *,
+            strict: bool, bound: int | None, state_cap: int, on_level=None):
+    """The search engine: best-first over (placement, fragment) states.
+
+    ``seeds(k)`` yields the initial placements whose h is exactly k; no
+    seed has h above ``seed_max``.  States with f above ``bound`` are
+    dropped (None: no cut).  Returns (cost, initial placement, swaps) for
+    the first finished fragment, which is optimal, or None when nothing
+    within the bound finishes.
+
+    ``on_level(k, level, states)`` sees each frontier of bucket k, as
+    (placement, fragment masks) pairs, before it is expanded: every seed
+    on its own at level 0, including a seed that finished, and the
+    batches above level 0 in sweep order.
+
+    ``state_cap`` bounds the states the search holds at once: closed-map
+    records, frontier entries not yet swept, and a finished state.
+    """
+    n = graph.num_nodes
+    nbrs = graph.neighbors
+    stride = n * n
+    dist = graph.distances
     pairs = info.pairs
-    pred = info.pred
+    npairs = len(pairs)
+    gate_qubits = info.gate_qubits
+    all_qubits = info.all_qubits
     gate_pair = info.gate_pair
+    gbits = info.num_gates
     full = info.full_mask
+    level_bits, level_mask = _LEVEL_BITS, _LEVEL_MASK
 
-    reduce_memo: dict[tuple[int, int], int] = {}
-    sig_cache: dict[tuple[int, ...], int] = {}
-    swap_cache: dict[tuple[tuple[int, ...], tuple[int, int]], tuple[int, ...]] = {}
-    # Fragment provenance: (parent record id or -1, edge or None, placement).
-    prov: list[tuple[int, tuple[int, int] | None, tuple[int, ...]]] = []
+    # Interned placements, with per placement the bitmask of adjacent pairs
+    # and the code of its per-pair (hops - 1) vector.
+    places: list[tuple[int, ...]] = []
+    index: dict[tuple[int, ...], int] = {}
+    sigs: list[int] = []
+    fcodes: list[int] = []
+    far_code: dict[tuple[int, ...], int] = {}
+    far_of: list[tuple[int, ...]] = []
+    reduce_memo: dict[int, int] = {}   # (fragment, sig) -> reduced fragment
+    pending_memo: dict[int, int] = {}  # fragment -> bitmask of its pending pairs
+    h_memo: dict[int, int] = {}        # (far code, pending pairs) -> h
+    # State key (placement index << gates | fragment) -> packed parent link
+    # and lowest level reached.
+    closed: dict[int, int] = {}
 
-    def signature(phys: tuple[int, ...]) -> int:
-        s = sig_cache.get(phys)
-        if s is None:
-            s = 0
-            for k, (a, b) in enumerate(pairs):
-                if adj[phys[a]] >> phys[b] & 1:
-                    s |= 1 << k
-            sig_cache[phys] = s
-        return s
+    def intern(phys: tuple[int, ...]) -> int:
+        idx = len(places)
+        index[phys] = idx
+        places.append(phys)
+        sig = 0
+        far = []
+        for pi, (a, b) in enumerate(pairs):
+            d = dist[phys[a]][phys[b]]
+            if d == 1:
+                sig |= 1 << pi
+            far.append(d - 1)
+        sigs.append(sig)
+        far = tuple(far)
+        code = far_code.get(far)
+        if code is None:
+            code = far_code[far] = len(far_of)
+            far_of.append(far)
+        fcodes.append(code)
+        return idx
 
     def reduce_mask(mask: int, sig: int) -> int:
-        key = (mask, sig)
-        out = reduce_memo.get(key)
-        if out is not None:
-            return out
+        # One ascending pass: a gate runs unless an earlier remaining gate
+        # shares a qubit with it (that qubit is blocked) or its operands
+        # are not adjacent.  Once every qubit is blocked nothing else runs.
         out = mask
         m = mask
+        blocked = 0
         while m:
             low = m & -m
             m ^= low
             i = low.bit_length() - 1
-            if pred[i] & out:
-                continue
-            pi = gate_pair[i]
-            if pi >= 0 and not sig >> pi & 1:
-                continue
-            out ^= low
-        reduce_memo[key] = out
+            qs = gate_qubits[i]
+            if not qs & blocked:
+                pi = gate_pair[i]
+                if pi < 0 or sig >> pi & 1:
+                    out ^= low
+                    continue
+            blocked |= qs
+            if blocked == all_qubits:
+                break
+        reduce_memo[mask << npairs | sig] = out
         return out
 
-    def replay(pid: int) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    def pending(mask: int) -> int:
+        pend = 0
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            pi = gate_pair[low.bit_length() - 1]
+            if pi >= 0:
+                pend |= 1 << pi
+        pending_memo[mask] = pend
+        return pend
+
+    def lower_bound(key: int) -> int:
+        far = far_of[key >> npairs]
+        pend = key & ((1 << npairs) - 1)
+        h = h_memo[key] = max(far[pi] for pi in range(npairs) if pend >> pi & 1)
+        return h
+
+    def replay(key: int) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
         swaps: list[tuple[int, int]] = []
-        placement = None
-        while pid >= 0:
-            parent, edge, placement = prov[pid]
-            if edge is not None:
-                swaps.append(edge)
-            pid = parent
+        link = closed[key] >> _LEVEL_BITS
+        while link:
+            parent, edge = divmod(link, stride)
+            swaps.append(divmod(edge, n))
+            key = parent - 1
+            link = closed[key] >> _LEVEL_BITS
         swaps.reverse()
-        return placement, swaps
+        return places[key >> gbits], swaps
 
-    frontier: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    n_sources = 0
-    for phys in sources:
-        n_sources += 1
-        if n_sources > state_cap:
-            raise ResourceLimitError(
-                f"initial placements exceed the state cap ({state_cap}); "
-                "raise it to search this instance"
-            )
-        m0 = reduce_mask(full, signature(phys))
-        prov.append((-1, None, phys))
-        pid = len(prov) - 1
-        if m0 == 0:
-            return 0, phys, []
-        frontier[phys] = [(m0, pid)]
+    def over_cap(where: str) -> ResourceLimitError:
+        return ResourceLimitError(
+            f"search retains more than the state cap ({state_cap}) states {where}; "
+            "raise it to search this instance"
+        )
 
-    visited: set[tuple[tuple[int, ...], int]] | None = set() if strict else None
-    if visited is not None:
-        for phys, frags in frontier.items():
-            for m, _ in frags:
-                visited.add((phys, m))
+    # f -> level -> placement index -> fragment masks, not yet swept.
+    buckets: dict[int, dict[int, dict[int, list[int]]]] = {}
+    # Per level: placement index -> antichain of fragments reached there
+    # (empty at level 0, whose seeds are all distinct placements).
+    levels: list[dict[int, list[int]]] = [{}]
+    live = 0
 
-    if on_level is not None:
-        on_level(0, frontier)
-
-    level = 0
-    while frontier:
-        level += 1
-        if max_levels is not None and level > max_levels:
-            return None
-        nxt: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for phys in sorted(frontier):
-            frags = frontier[phys]
-            for edge in edges:
-                if strict and (edge[0] not in phys or edge[1] not in phys):
-                    continue
-                key = (phys, edge)
-                nphys = swap_cache.get(key)
-                if nphys is None:
-                    u, v = edge
-                    nphys = tuple(u if p == v else v if p == u else p for p in phys)
-                    swap_cache[key] = nphys
-                sig = signature(nphys)
-                bucket = nxt.get(nphys)
-                for m, pid in frags:
-                    nm = reduce_mask(m, sig)
-                    if nm == 0:
-                        prov.append((pid, edge, nphys))
-                        placement, swaps = replay(len(prov) - 1)
-                        return level, placement, swaps
-                    if visited is not None:
-                        if (nphys, nm) in visited:
+    def expand(batch: list[tuple[int, list[int]]], level: int):
+        """Apply every SWAP that moves a qubit to each (placement index,
+        fragment masks) of ``batch`` at ``level``, and file the children by
+        f at level + 1.  Returns the plan of the first finished child, else
+        None."""
+        nonlocal live
+        nlevel = level + 1
+        if nlevel == len(levels):
+            levels.append({})
+        there = levels[nlevel]
+        # f -> placement index -> masks, the part of buckets[f][nlevel] in use.
+        targets: dict[int, dict[int, list[int]]] = {}
+        for idx, ms in batch:
+            phys = places[idx]
+            at = dict(zip(phys, range(len(phys))))
+            base = (idx << gbits) + 1  # parent key + 1, less the fragment
+            # Along each edge at a qubit's node; an edge between two qubits
+            # is taken from its lower end.
+            for i, p in enumerate(phys):
+                for w in nbrs[p]:
+                    j = at.get(w)
+                    if j is None:
+                        if strict:
                             continue
-                        visited.add((nphys, nm))
-                    if bucket is None:
-                        bucket = nxt.setdefault(nphys, [])
-                    if any(em & ~nm == 0 for em, _ in bucket):
+                        moved = list(phys)
+                        moved[i] = w
+                    elif w < p:
                         continue
-                    bucket[:] = [(em, ep) for em, ep in bucket if nm & ~em]
-                    prov.append((pid, edge, nphys))
-                    bucket.append((nm, len(prov) - 1))
-        if len(nxt) > state_cap:
-            raise ResourceLimitError(
-                f"search frontier exceeds the state cap ({state_cap}) "
-                f"at level {level}; raise it to search this instance"
-            )
-        if on_level is not None and nxt:
-            on_level(level, nxt)
-        frontier = nxt
+                    else:
+                        moved = list(phys)
+                        moved[i] = w
+                        moved[j] = p
+                    nphys = tuple(moved)
+                    nidx = index.get(nphys)
+                    if nidx is None:
+                        nidx = intern(nphys)
+                    sig = sigs[nidx]
+                    for m in ms:
+                        nm = reduce_memo.get(m << npairs | sig)
+                        if nm is None:
+                            nm = reduce_mask(m, sig)
+                        if nm == 0:
+                            if len(closed) + live >= state_cap:
+                                raise over_cap(f"at level {nlevel}")
+                            placement, swaps = replay(idx << gbits | m)
+                            swaps.append((p, w) if p < w else (w, p))
+                            return nlevel, placement, swaps
+                        key = nidx << gbits | nm
+                        old = closed.get(key)
+                        if old is not None and old & level_mask <= nlevel:
+                            continue
+                        pend = pending_memo.get(nm)
+                        if pend is None:
+                            pend = pending(nm)
+                        hk = fcodes[nidx] << npairs | pend
+                        f = h_memo.get(hk)
+                        if f is None:
+                            f = lower_bound(hk)
+                        f += nlevel
+                        if bound is not None and f > bound:
+                            continue
+                        kept = there.get(nidx)
+                        if kept is None:
+                            there[nidx] = [nm]
+                        else:
+                            if any(em & ~nm == 0 for em in kept):
+                                continue
+                            if any(nm & ~em == 0 for em in kept):
+                                kept[:] = [em for em in kept if nm & ~em]
+                            kept.append(nm)
+                        closed[key] = (
+                            (base + m) * stride + (p * n + w if p < w else w * n + p)
+                        ) << level_bits | nlevel
+                        target = targets.get(f)
+                        if target is None:
+                            target = targets[f] = buckets.setdefault(f, {}).setdefault(nlevel, {})
+                        entry = target.get(nidx)
+                        if entry is None:
+                            target[nidx] = [nm]
+                        else:
+                            entry.append(nm)
+                        live += 1
+                        if len(closed) + live > state_cap:
+                            raise over_cap(f"at level {nlevel}")
+        return None
+
+    def sweep(k: int):
+        """Expand the frontiers of bucket k, deepest level first, until it
+        is empty.  Returns the plan of the first finished child, else None."""
+        nonlocal live
+        cur = buckets[k]
+        while cur:
+            level = max(cur)
+            frontier = cur.pop(level)
+            here = levels[level]
+            batch = []
+            for idx, masks in frontier.items():
+                live -= len(masks)
+                kept = here.get(idx, ())
+                ms = [m for m in masks
+                      if m in kept and closed[idx << gbits | m] & level_mask == level]
+                if ms:
+                    batch.append((idx, ms))
+            if on_level is not None and batch:
+                on_level(k, level, [(places[i], ms) for i, ms in batch])
+            found = expand(batch, level)
+            if found is not None:
+                return found
+        return None
+
+    k = 0
+    while bound is None or k <= bound:
+        if k > seed_max and not buckets:
+            return None
+        buckets.setdefault(k, {})
+        # The seeds of bucket k are its level 0: each one is expanded, and
+        # the bucket swept, as soon as it is enumerated.
+        if k <= seed_max:
+            for phys in seeds(k):
+                idx = index.get(phys)
+                if idx is None:
+                    idx = intern(phys)
+                sig = sigs[idx]
+                m0 = reduce_memo.get(full << npairs | sig)
+                if m0 is None:
+                    m0 = reduce_mask(full, sig)
+                closed[idx << gbits | m0] = 0
+                if on_level is not None:
+                    on_level(k, 0, [(phys, [m0])])
+                if m0 == 0:
+                    return 0, phys, []
+                if len(closed) + live > state_cap:
+                    raise over_cap(f"while seeding bound {k}")
+                found = expand([(idx, [m0])], 0)
+                if found is None:
+                    found = sweep(k)
+                if found is not None:
+                    return found
+        found = sweep(k)
+        if found is not None:
+            return found
+        del buckets[k]
+        k += 1
     return None
 
 
@@ -270,18 +537,57 @@ def upper_bound(c: Circuit, g: CouplingGraph) -> int:
     return t * (g.diameter - 1) if t else 0
 
 
-def _sources_for(c: Circuit, g: CouplingGraph,
-                 node_symmetries: Iterable[tuple[int, ...]] | None = None):
-    srcs = itertools.permutations(range(g.num_nodes), c.num_qubits)
-    if node_symmetries is None:
-        return srcs
-    perms = [tuple(p) for p in node_symmetries]
+def _automorphisms(g: CouplingGraph,
+                   node_symmetries: Iterable[tuple[int, ...]] | None) -> list[tuple[int, ...]]:
+    """The given node permutations, each checked to map edges to edges."""
+    perms = [tuple(p) for p in node_symmetries or ()]
     for p in perms:
         if sorted(p) != list(range(g.num_nodes)):
             raise ValueError("each symmetry must be a permutation of the graph nodes")
-    # keep a placement only if it is the lexicographic minimum of its orbit
-    return (s for s in srcs
-            if all(s <= tuple(p[x] for x in s) for p in perms))
+        if not all(g.has_edge(p[a], p[b]) for a, b in g.edges):
+            raise ValueError(f"symmetry {p} maps an edge to a non-edge, "
+                             "so it is not a graph automorphism")
+    return perms
+
+
+def _solve(c: Circuit, g: CouplingGraph, *, start: Placement | None = None,
+           strict: bool, budget: int | None, state_cap: int,
+           node_symmetries: Iterable[tuple[int, ...]] | None = None,
+           on_level=None) -> MapResult:
+    """The one result path behind solve_exact, solve_from, decide and
+    search_levels.
+
+    ``budget`` None asks for the optimum.  An integer budget keeps only
+    states with f <= budget and reports cost ``inf`` when none finishes.
+    """
+    symmetries = _automorphisms(g, node_symmetries)
+    if start is not None:
+        start.check_against(c, g)
+    if c.num_qubits > g.num_nodes:
+        return MapResult(math.inf, None)
+    info = _CircuitInfo(c)
+    if start is None:
+        seed_max = g.diameter - 1 if info.pairs else 0
+
+        def seeds(k: int):
+            return _seeds(info, g, k, symmetries)
+    else:
+        p0 = start.to_physical
+        seed_max = max((g.distance(p0[a], p0[b]) - 1 for a, b in info.pairs), default=0)
+
+        def seeds(k: int):
+            return (p0,) if k == seed_max else ()
+    bound = budget
+    if bound is None and not strict:
+        bound = upper_bound(c, g)
+    found = _search(info, g, seeds, seed_max, strict=strict, bound=bound,
+                    state_cap=state_cap, on_level=on_level)
+    if found is None:
+        if strict or budget is not None:
+            return MapResult(math.inf, None)
+        raise RuntimeError("search exhausted its bound without a witness; this is a bug")
+    cost, phys, swaps = found
+    return MapResult(cost, SwapPlan(Placement(phys), tuple(swaps)))
 
 
 def solve_exact(c: Circuit, g: CouplingGraph, *, strict: bool = False,
@@ -289,43 +595,24 @@ def solve_exact(c: Circuit, g: CouplingGraph, *, strict: bool = False,
                 node_symmetries: Iterable[tuple[int, ...]] | None = None) -> MapResult:
     """Minimal SWAP count over all initial placements, with one witness plan.
 
-    Every injective placement seeds the search, so the result is exact.
+    Every injective placement is a potential seed, so the result is exact.
     ``strict`` restricts SWAPs to edges whose endpoints both hold qubits;
     strict instances can be unsolvable, reported as cost ``inf``.
 
     ``node_symmetries`` optionally prunes seed placements: each entry is a
-    node permutation, and only placements lexicographically minimal within
-    their orbit are kept.  The result stays exact when the permutations
-    form a group of graph automorphisms; off by default.
+    graph automorphism (a node permutation mapping edges to edges; anything
+    else raises ValueError), and only placements lexicographically minimal
+    within their orbit are seeded.  Automorphisms preserve every cost, so
+    the result stays exact.  Off by default.
     """
-    if c.num_qubits > g.num_nodes:
-        return MapResult(math.inf, None)
-    info = _CircuitInfo(c)
-    bound = None if strict else upper_bound(c, g)
-    found = _run_search(info, g, _sources_for(c, g, node_symmetries), strict=strict,
-                        state_cap=state_cap, max_levels=bound)
-    if found is None:
-        if strict:
-            return MapResult(math.inf, None)
-        raise RuntimeError("search exhausted its bound without a witness; this is a bug")
-    cost, phys, swaps = found
-    return MapResult(cost, SwapPlan(Placement(phys), tuple(swaps)))
+    return _solve(c, g, strict=strict, budget=None, state_cap=state_cap,
+                  node_symmetries=node_symmetries)
 
 
 def solve_from(c: Circuit, g: CouplingGraph, p0: Placement, *, strict: bool = False,
                state_cap: int = DEFAULT_STATE_CAP) -> MapResult:
     """Minimal SWAP count when the initial placement is fixed to ``p0``."""
-    p0.check_against(c, g)
-    info = _CircuitInfo(c)
-    bound = None if strict else upper_bound(c, g)
-    found = _run_search(info, g, [p0.to_physical], strict=strict,
-                        state_cap=state_cap, max_levels=bound)
-    if found is None:
-        if strict:
-            return MapResult(math.inf, None)
-        raise RuntimeError("search exhausted its bound without a witness; this is a bug")
-    cost, phys, swaps = found
-    return MapResult(cost, SwapPlan(Placement(phys), tuple(swaps)))
+    return _solve(c, g, start=p0, strict=strict, budget=None, state_cap=state_cap)
 
 
 def decide(c: Circuit, g: CouplingGraph, k: int, *, strict: bool = False,
@@ -333,83 +620,41 @@ def decide(c: Circuit, g: CouplingGraph, k: int, *, strict: bool = False,
            node_symmetries: Iterable[tuple[int, ...]] | None = None) -> bool:
     """Is the circuit mappable with at most k SWAPs?
 
-    Budget 0 asks whether some placement satisfies every interaction
-    outright, which is an injective embedding of the interaction topology
-    into the graph; that test runs as a backtracking embed rather than a
-    placement sweep.  Larger budgets run the BFS, cut off after level k.
+    The search keeps only states whose lower bound f stays within k, so
+    budget 0 seeds only embeddings of the interaction topology and stops
+    at the first one.
     """
     if k < 0:
         raise ValueError("budget must be >= 0")
-    if c.num_qubits > g.num_nodes:
-        return False
-    if _topology_embeds(c, g):
-        return True
-    if k == 0:
-        return False
-    info = _CircuitInfo(c)
-    found = _run_search(info, g, _sources_for(c, g, node_symmetries), strict=strict,
-                        state_cap=state_cap, max_levels=k)
-    return found is not None
-
-
-def _topology_embeds(c: Circuit, g: CouplingGraph) -> bool:
-    """Backtracking injective embed of the interaction topology into g."""
-    topo = build_topology_graph(c)
-    active = [q for q in range(c.num_qubits) if topo.degree(q) > 0]
-    active.sort(key=lambda q: (-topo.degree(q), q))
-    nbrs: dict[int, list[int]] = {q: [] for q in active}
-    for a, b in topo.edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
-
-    def place(i: int) -> bool:
-        if i == len(active):
-            return True
-        q = active[i]
-        for node in range(g.num_nodes):
-            if node in used:
-                continue
-            if all(r not in assigned or g.has_edge(node, assigned[r]) for r in nbrs[q]):
-                assigned[q] = node
-                used.add(node)
-                if place(i + 1):
-                    return True
-                del assigned[q]
-                used.discard(node)
-        return False
-
-    return place(0)
+    return _solve(c, g, strict=strict, budget=k, state_cap=state_cap,
+                  node_symmetries=node_symmetries).feasible
 
 
 def search_levels(c: Circuit, g: CouplingGraph, p0: Placement | None = None, *,
                   strict: bool = False, state_cap: int = DEFAULT_STATE_CAP,
                   max_levels: int | None = None) -> list[list[SearchState]]:
-    """Snapshot the BFS frontiers, for inspection and invariant checks.
+    """Snapshot the frontiers the search expands, for inspection and
+    invariant checks.
 
-    Each entry is one completed level; a level cut short by finding a
-    finished fragment is not reported.  ``p0`` None seeds all placements.
+    Entries come in search order: bucket by bucket in increasing bound f;
+    inside a bucket each seed is one entry of a single state, followed by
+    the frontiers it leads to, deepest level first.  Each entry is taken
+    just before it is expanded, so the one in which the search finished is
+    included; when the optimum is 0 it is the seed that finished, with its
+    empty fragment.  ``p0`` None seeds all placements; ``max_levels`` keeps
+    only states with f within it.
     """
-    info = _CircuitInfo(c)
     collected: list[list[SearchState]] = []
 
-    def snap(_level: int, frontier: dict) -> None:
-        states = []
-        for phys in sorted(frontier):
-            frags = tuple(
-                descriptor(Subcircuit._from_mask(c, m)) for m, _ in frontier[phys]
-            )
-            states.append(SearchState(Placement(phys), frags))
-        collected.append(states)
+    def snap(_bound: int, _level: int, frontier) -> None:
+        collected.append([
+            SearchState(Placement(phys), tuple(
+                descriptor(Subcircuit._from_mask(c, m)) for m in masks))
+            for phys, masks in sorted(frontier)
+        ])
 
-    sources = [p0.to_physical] if p0 is not None else _sources_for(c, g)
-    if p0 is not None:
-        p0.check_against(c, g)
-    if max_levels is None and not strict:
-        max_levels = upper_bound(c, g)
-    _run_search(info, g, sources, strict=strict, state_cap=state_cap,
-                max_levels=max_levels, on_level=snap)
+    _solve(c, g, start=p0, strict=strict, budget=max_levels, state_cap=state_cap,
+           on_level=snap)
     return collected
 
 

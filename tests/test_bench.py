@@ -81,6 +81,42 @@ class TestRunBenchmark:
         rows = run_benchmark(3, [4], 8, seed=11, graph_nodes=5)
         assert rows[0].qt == 3
 
+    def test_one_pool_per_call_clamped_to_cpus_and_chunks(self, monkeypatch):
+        import qcmap.bench as bench
+
+        pools = []
+
+        class InlinePool:
+            """Records its size and runs the jobs in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)
+        expected = strip_time(run_benchmark(3, range(3, 7), 5, seed=2))
+        # 3 CPUs: 4 gate counts x 3 chunks = 12 jobs
+        assert strip_time(run_benchmark(3, range(3, 7), 5, seed=2, threads=10_000)) == expected
+        assert pools == [3]
+        # 1 gate count x 2 chunks = 2 jobs
+        run_benchmark(3, [4], 2, seed=2, threads=10_000)
+        assert pools == [3, 2]
+        run_benchmark(3, range(3, 7), 5, seed=2, threads=2)
+        assert pools == [3, 2, 2]
+        # a single worker runs in this process, without a pool
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 1)
+        assert strip_time(run_benchmark(3, range(3, 7), 5, seed=2, threads=8)) == expected
+        assert pools == [3, 2, 2]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             run_benchmark(3, [4], 0, seed=1)

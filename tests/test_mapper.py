@@ -10,14 +10,20 @@ from qcmap import (
     MapResult,
     ParseError,
     Placement,
+    RandomCircuitSpec,
     ResourceLimitError,
+    Subcircuit,
     SwapPlan,
+    aspen,
+    brute_force_g,
     clique,
     cycle,
     decide,
+    descriptor,
     format_plan,
     gen_clique_circuit,
     gen_cycle_circuit,
+    gen_random_circuit,
     grid_square,
     linear,
     load_plan,
@@ -26,6 +32,7 @@ from qcmap import (
     search_levels,
     solve_exact,
     solve_from,
+    tokyo,
     upper_bound,
     verify_plan,
 )
@@ -122,6 +129,16 @@ class TestSolveExact:
     def test_state_cap(self):
         with pytest.raises(ResourceLimitError):
             solve_exact(triangle_circuit(), linear(3), state_cap=1)
+
+    def test_state_cap_counts_retained_states_not_placements(self):
+        # tokyo() has P(20, 5) = 1.86M placements, more than the default
+        # cap; only placements within the bound are seeded and retained.
+        c = gen_random_circuit(RandomCircuitSpec(5, 12, 1.0, 4))
+        g = tokyo()
+        res = solve_exact(c, g)
+        assert res.cost == 1
+        report = verify_plan(c, g, res.plan)
+        assert report.accepted and report.swaps_used == 1
 
 
 class TestSolveFrom:
@@ -231,6 +248,39 @@ class TestNodeSymmetries:
         with pytest.raises(ValueError):
             solve_exact(triangle_circuit(), linear(3), node_symmetries=[(0, 0, 1)])
 
+    def test_non_automorphism_rejected(self):
+        # (0,1,3,2) maps edge (1,2) of the path to the non-edge (1,3); the
+        # orbit filter it implies would prune every optimal seed.
+        c = gen_random_circuit(RandomCircuitSpec(4, 6, 1.0, 18))
+        assert solve_exact(c, linear(4)).cost == 2
+        with pytest.raises(ValueError):
+            solve_exact(c, linear(4), node_symmetries=[(0, 1, 3, 2)])
+        with pytest.raises(ValueError):
+            decide(c, linear(4), 2, node_symmetries=[(0, 1, 3, 2)])
+
+    @staticmethod
+    def grid_automorphisms(n):
+        """The eight symmetries of the n x n square lattice."""
+        maps = [lambda r, c: (r, c), lambda r, c: (c, n - 1 - r),
+                lambda r, c: (n - 1 - r, n - 1 - c), lambda r, c: (n - 1 - c, r),
+                lambda r, c: (r, n - 1 - c), lambda r, c: (n - 1 - r, c),
+                lambda r, c: (c, r), lambda r, c: (n - 1 - c, n - 1 - r)]
+        return [tuple(f(v // n, v % n)[0] * n + f(v // n, v % n)[1] for v in range(n * n))
+                for f in maps]
+
+    def test_automorphism_groups_keep_optima(self):
+        cases = [(cycle(4), self.cycle_automorphisms(4), 3),
+                 (grid_square(3, 3), self.grid_automorphisms(3), 4)]
+        rng = random.Random(61)
+        for g, group, qubits in cases:
+            for _ in range(4):
+                c = random_cnot_circuit(rng, qubits, rng.randrange(2, 8))
+                cost = solve_exact(c, g).cost
+                assert solve_exact(c, g, node_symmetries=group).cost == cost
+                assert decide(c, g, cost, node_symmetries=group)
+                if cost > 0:
+                    assert not decide(c, g, cost - 1, node_symmetries=group)
+
 
 class TestInvariances:
     def test_single_qubit_gates_are_free(self):
@@ -298,6 +348,46 @@ class TestSearchLevels:
         c = triangle_circuit()
         levels = search_levels(c, linear(3), Placement((0, 1, 2)))
         assert len(levels[0]) == 1
+
+    def test_optimum_zero_reports_its_seed(self):
+        c = gen_cycle_circuit(5)
+        levels = search_levels(c, cycle(5))
+        assert len(levels) == 1
+        (state,) = levels[0]
+        assert state.fragments == (descriptor(Subcircuit(c, ())),)
+        assert verify_plan(c, cycle(5), SwapPlan(state.placement, ())).accepted
+
+
+class TestBoundedSearchAgainstBruteForce:
+    """The lower bound, the bounded seeding, the closed map and the merge
+    rule all prune; the unpruned full-state search must agree."""
+
+    # (graph, qubits, [(gates, seed), ...]); optima 0-2.  Every interaction
+    # graph on 4 qubits embeds in tokyo(), so its optima are 0.
+    CASES = [
+        (grid_square(3, 3), 3, [(6, 1), (10, 0), (10, 1)]),
+        (grid_square(3, 3), 4, [(4, 0), (6, 0), (8, 1)]),
+        (aspen(), 3, [(6, 0), (6, 1), (10, 0)]),
+        (tokyo(), 3, [(10, 0)]),
+        (tokyo(), 4, [(6, 1), (10, 0)]),
+    ]
+
+    def test_matches_brute_force(self):
+        for g, qubits, draws in self.CASES:
+            limits = dict(max_qubits=qubits, max_nodes=g.num_nodes, max_gates=10)
+            for gates, seed in draws:
+                c = gen_random_circuit(RandomCircuitSpec(qubits, gates, 1.0, seed))
+                where = (g, qubits, gates, seed)
+                res = solve_exact(c, g)
+                assert res.cost == brute_force_g(c, g, **limits).cost, where
+                report = verify_plan(c, g, res.plan)
+                assert report.accepted and report.swaps_used == res.cost, where
+                assert decide(c, g, res.cost), where
+                if res.cost > 0:
+                    assert not decide(c, g, res.cost - 1), where
+                strict = solve_exact(c, g, strict=True)
+                assert strict.cost == brute_force_g(c, g, strict=True, **limits).cost, where
+                assert verify_plan(c, g, strict.plan).swaps_used == strict.cost, where
 
 
 class TestPlanSerialization:
