@@ -43,8 +43,10 @@ class CouplingGraph:
         return cls(num_nodes, seen)
 
     def _check_connected(self) -> None:
-        if self.num_nodes == 0:
-            return
+        # A connected graph has at least n - 1 edges; checking that first
+        # keeps a bare "nodes N" header from building N neighbor lists.
+        if len(self.edges) < self.num_nodes - 1:
+            raise ValueError("graph is not connected")
         seen = {0}
         queue = deque([0])
         nbrs = self.neighbors

@@ -19,14 +19,14 @@ the interaction topology.  Each seed is expanded as soon as it is
 enumerated, and inside a bucket the deepest level goes first, so the
 bucket that holds the optimum stops at its first finished fragment.
 
-Fragments reached on one placement at one level are merged to the
-inclusion-minimal ones (a smaller fragment never finishes later).  One
-closed map keeps the lowest level at which each (placement, fragment) was
-reached, and a state is filed again only when it is reached lower.  As f
-never drops along a path, a state is expanded at most once, at its
-lowest level.  The closed map also stores each state's parent and
-SWAP, which replay into the witness plan that independent verification
-checks.
+The frontiers are flat lists of states.  The one duplicate check is a
+closed map that keeps the lowest level at which each (placement,
+fragment) was reached: a state is filed again only when it is reached
+lower, and a frontier entry whose state was since reached lower is
+dropped when its frontier is swept.  As f never drops along a path, a
+state is expanded at most once, at its lowest level.  The closed map
+also stores each state's parent and SWAP, which replay into the witness
+plan that independent verification checks.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ class Placement:
     @property
     def num_qubits(self) -> int:
         return len(self.to_physical)
-
-    def node_of(self, qubit: int) -> int:
-        return self.to_physical[qubit]
 
     def occupants(self, num_nodes: int) -> tuple[int | None, ...]:
         """Inverse view: per node, the logical qubit sitting there (or None)."""
@@ -116,7 +113,7 @@ class MapResult:
 
 @dataclass(frozen=True)
 class SearchState:
-    """One frontier entry: a placement and its minimal pending fragments."""
+    """One frontier entry: a placement and the pending fragments on it."""
 
     placement: Placement
     fragments: tuple[SubcircuitDescriptor, ...]
@@ -180,13 +177,14 @@ class _CircuitInfo:
 
 
 def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int,
-           symmetries: list[tuple[int, ...]]):
+           symmetries: list[tuple[int, ...]], start: tuple[int, ...] | None):
     """Initial placements with h exactly k, in backtracking order.
 
     Every interacting pair lies within k+1 hops and, for k > 0, some pair
     exactly k+1 hops apart.  Partial placements that break the hop limit
     are never extended.  With symmetries, only the lexicographic minimum
-    of each orbit is yielded.
+    of each orbit is yielded.  A fixed ``start`` limits each qubit to its
+    start node, so it is yielded for its own h only.
     """
     n = graph.num_nodes
     dist = graph.distances
@@ -197,15 +195,17 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int,
             if 0 < d <= k + 1:
                 r |= 1 << w
         reach.append(r)
+    order, back, pairs = info.order, info.placed_partners, info.pairs
     # Per position, the nodes with room for all of the qubit's partners.
     fits = []
-    for d in info.degree:
+    for i, d in enumerate(info.degree):
         r = 0
         for x, near in enumerate(reach):
             if near.bit_count() >= d:
                 r |= 1 << x
+        if start is not None:
+            r &= 1 << start[order[i]]
         fits.append(r)
-    order, back, pairs = info.order, info.placed_partners, info.pairs
     num_active, num_qubits = info.num_active, len(order)
     if k and not num_active:
         return  # nothing interacts: every seed has h = 0
@@ -252,20 +252,21 @@ _LEVEL_BITS = 32
 _LEVEL_MASK = (1 << _LEVEL_BITS) - 1
 
 
-def _search(info: _CircuitInfo, graph: CouplingGraph, seeds, seed_max: int, *,
-            strict: bool, bound: int | None, state_cap: int, on_level=None):
+def _search(info: _CircuitInfo, graph: CouplingGraph, symmetries: list[tuple[int, ...]],
+            start: tuple[int, ...] | None, *, strict: bool, bound: int | None,
+            state_cap: int, on_level=None):
     """The search engine: best-first over (placement, fragment) states.
 
-    ``seeds(k)`` yields the initial placements whose h is exactly k; no
-    seed has h above ``seed_max``.  States with f above ``bound`` are
-    dropped (None: no cut).  Returns (cost, initial placement, swaps) for
-    the first finished fragment, which is optimal, or None when nothing
-    within the bound finishes.
+    Seeds come from ``_seeds``: every placement (orbit minima under
+    ``symmetries``), or the fixed ``start`` alone.  States with f above
+    ``bound`` are dropped (None: no cut).  Returns (cost, initial
+    placement, swaps) for the first finished fragment, which is optimal,
+    or None when nothing within the bound finishes.
 
-    ``on_level(k, level, states)`` sees each frontier of bucket k, as
-    (placement, fragment masks) pairs, before it is expanded: every seed
-    on its own at level 0, including a seed that finished, and the
-    batches above level 0 in sweep order.
+    ``on_level(k, level, states)`` sees each frontier of bucket k, as a
+    list of (placement, fragment mask) pairs, before it is expanded: every
+    seed on its own at level 0, including a seed that finished, and the
+    frontiers above level 0 in sweep order.
 
     ``state_cap`` bounds the states the search holds at once: closed-map
     records, frontier entries not yet swept, and a finished state.
@@ -282,6 +283,7 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, seeds, seed_max: int, *,
     gbits = info.num_gates
     full = info.full_mask
     level_bits, level_mask = _LEVEL_BITS, _LEVEL_MASK
+    seed_max = graph.diameter - 1 if pairs else 0
 
     # Interned placements, with per placement the bitmask of adjacent pairs
     # and the code of its per-pair (hops - 1) vector.
@@ -376,29 +378,22 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, seeds, seed_max: int, *,
             "raise it to search this instance"
         )
 
-    # f -> level -> placement index -> fragment masks, not yet swept.
-    buckets: dict[int, dict[int, dict[int, list[int]]]] = {}
-    # Per level: placement index -> antichain of fragments reached there
-    # (empty at level 0, whose seeds are all distinct placements).
-    levels: list[dict[int, list[int]]] = [{}]
+    # f -> level -> state keys filed there, not yet swept.
+    buckets: dict[int, dict[int, list[int]]] = {}
     live = 0
 
-    def expand(batch: list[tuple[int, list[int]]], level: int):
-        """Apply every SWAP that moves a qubit to each (placement index,
-        fragment masks) of ``batch`` at ``level``, and file the children by
-        f at level + 1.  Returns the plan of the first finished child, else
-        None."""
+    def expand(keys: list[int], level: int):
+        """Apply every SWAP that moves a qubit to each state of ``keys`` at
+        ``level``, and file the children by f at level + 1.  Returns the
+        plan of the first finished child, else None."""
         nonlocal live
         nlevel = level + 1
-        if nlevel == len(levels):
-            levels.append({})
-        there = levels[nlevel]
-        # f -> placement index -> masks, the part of buckets[f][nlevel] in use.
-        targets: dict[int, dict[int, list[int]]] = {}
-        for idx, ms in batch:
+        for key in keys:
+            idx = key >> gbits
+            m = key & full
             phys = places[idx]
             at = dict(zip(phys, range(len(phys))))
-            base = (idx << gbits) + 1  # parent key + 1, less the fragment
+            link = (key + 1) * stride  # parent link, less the SWAP
             # Along each edge at a qubit's node; an edge between two qubits
             # is taken from its lower end.
             for i, p in enumerate(phys):
@@ -420,75 +415,52 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, seeds, seed_max: int, *,
                     if nidx is None:
                         nidx = intern(nphys)
                     sig = sigs[nidx]
-                    for m in ms:
-                        nm = reduce_memo.get(m << npairs | sig)
-                        if nm is None:
-                            nm = reduce_mask(m, sig)
-                        if nm == 0:
-                            if len(closed) + live >= state_cap:
-                                raise over_cap(f"at level {nlevel}")
-                            placement, swaps = replay(idx << gbits | m)
-                            swaps.append((p, w) if p < w else (w, p))
-                            return nlevel, placement, swaps
-                        key = nidx << gbits | nm
-                        old = closed.get(key)
-                        if old is not None and old & level_mask <= nlevel:
-                            continue
-                        pend = pending_memo.get(nm)
-                        if pend is None:
-                            pend = pending(nm)
-                        hk = fcodes[nidx] << npairs | pend
-                        f = h_memo.get(hk)
-                        if f is None:
-                            f = lower_bound(hk)
-                        f += nlevel
-                        if bound is not None and f > bound:
-                            continue
-                        kept = there.get(nidx)
-                        if kept is None:
-                            there[nidx] = [nm]
-                        else:
-                            if any(em & ~nm == 0 for em in kept):
-                                continue
-                            if any(nm & ~em == 0 for em in kept):
-                                kept[:] = [em for em in kept if nm & ~em]
-                            kept.append(nm)
-                        closed[key] = (
-                            (base + m) * stride + (p * n + w if p < w else w * n + p)
-                        ) << level_bits | nlevel
-                        target = targets.get(f)
-                        if target is None:
-                            target = targets[f] = buckets.setdefault(f, {}).setdefault(nlevel, {})
-                        entry = target.get(nidx)
-                        if entry is None:
-                            target[nidx] = [nm]
-                        else:
-                            entry.append(nm)
-                        live += 1
-                        if len(closed) + live > state_cap:
+                    nm = reduce_memo.get(m << npairs | sig)
+                    if nm is None:
+                        nm = reduce_mask(m, sig)
+                    if nm == 0:
+                        if len(closed) + live >= state_cap:
                             raise over_cap(f"at level {nlevel}")
+                        placement, swaps = replay(key)
+                        swaps.append((p, w) if p < w else (w, p))
+                        return nlevel, placement, swaps
+                    nkey = nidx << gbits | nm
+                    old = closed.get(nkey)
+                    if old is not None and old & level_mask <= nlevel:
+                        continue
+                    pend = pending_memo.get(nm)
+                    if pend is None:
+                        pend = pending(nm)
+                    hk = fcodes[nidx] << npairs | pend
+                    f = h_memo.get(hk)
+                    if f is None:
+                        f = lower_bound(hk)
+                    f += nlevel
+                    if bound is not None and f > bound:
+                        continue
+                    closed[nkey] = (
+                        link + (p * n + w if p < w else w * n + p)
+                    ) << level_bits | nlevel
+                    buckets.setdefault(f, {}).setdefault(nlevel, []).append(nkey)
+                    live += 1
+                    if len(closed) + live > state_cap:
+                        raise over_cap(f"at level {nlevel}")
         return None
 
     def sweep(k: int):
         """Expand the frontiers of bucket k, deepest level first, until it
-        is empty.  Returns the plan of the first finished child, else None."""
+        is empty.  Returns the plan of the first finished child, else None.
+        An entry whose state was since reached lower is dropped."""
         nonlocal live
         cur = buckets[k]
         while cur:
             level = max(cur)
             frontier = cur.pop(level)
-            here = levels[level]
-            batch = []
-            for idx, masks in frontier.items():
-                live -= len(masks)
-                kept = here.get(idx, ())
-                ms = [m for m in masks
-                      if m in kept and closed[idx << gbits | m] & level_mask == level]
-                if ms:
-                    batch.append((idx, ms))
-            if on_level is not None and batch:
-                on_level(k, level, [(places[i], ms) for i, ms in batch])
-            found = expand(batch, level)
+            live -= len(frontier)
+            keys = [key for key in frontier if closed[key] & level_mask == level]
+            if on_level is not None and keys:
+                on_level(k, level, [(places[key >> gbits], key & full) for key in keys])
+            found = expand(keys, level)
             if found is not None:
                 return found
         return None
@@ -501,7 +473,7 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, seeds, seed_max: int, *,
         # The seeds of bucket k are its level 0: each one is expanded, and
         # the bucket swept, as soon as it is enumerated.
         if k <= seed_max:
-            for phys in seeds(k):
+            for phys in _seeds(info, graph, k, symmetries, start):
                 idx = index.get(phys)
                 if idx is None:
                     idx = intern(phys)
@@ -509,14 +481,15 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, seeds, seed_max: int, *,
                 m0 = reduce_memo.get(full << npairs | sig)
                 if m0 is None:
                     m0 = reduce_mask(full, sig)
-                closed[idx << gbits | m0] = 0
+                key = idx << gbits | m0
+                closed[key] = 0
                 if on_level is not None:
-                    on_level(k, 0, [(phys, [m0])])
+                    on_level(k, 0, [(phys, m0)])
                 if m0 == 0:
                     return 0, phys, []
                 if len(closed) + live > state_cap:
                     raise over_cap(f"while seeding bound {k}")
-                found = expand([(idx, [m0])], 0)
+                found = expand([key], 0)
                 if found is None:
                     found = sweep(k)
                 if found is not None:
@@ -561,26 +534,13 @@ def _solve(c: Circuit, g: CouplingGraph, *, start: Placement | None = None,
     states with f <= budget and reports cost ``inf`` when none finishes.
     """
     symmetries = _automorphisms(g, node_symmetries)
+    p0 = None
     if start is not None:
         start.check_against(c, g)
+        p0 = start.to_physical
     if c.num_qubits > g.num_nodes:
         return MapResult(math.inf, None)
-    info = _CircuitInfo(c)
-    if start is None:
-        seed_max = g.diameter - 1 if info.pairs else 0
-
-        def seeds(k: int):
-            return _seeds(info, g, k, symmetries)
-    else:
-        p0 = start.to_physical
-        seed_max = max((g.distance(p0[a], p0[b]) - 1 for a, b in info.pairs), default=0)
-
-        def seeds(k: int):
-            return (p0,) if k == seed_max else ()
-    bound = budget
-    if bound is None and not strict:
-        bound = upper_bound(c, g)
-    found = _search(info, g, seeds, seed_max, strict=strict, bound=bound,
+    found = _search(_CircuitInfo(c), g, symmetries, p0, strict=strict, bound=budget,
                     state_cap=state_cap, on_level=on_level)
     if found is None:
         if strict or budget is not None:
@@ -631,29 +591,33 @@ def decide(c: Circuit, g: CouplingGraph, k: int, *, strict: bool = False,
 
 
 def search_levels(c: Circuit, g: CouplingGraph, p0: Placement | None = None, *,
-                  strict: bool = False, state_cap: int = DEFAULT_STATE_CAP,
-                  max_levels: int | None = None) -> list[list[SearchState]]:
+                  strict: bool = False,
+                  state_cap: int = DEFAULT_STATE_CAP) -> list[list[SearchState]]:
     """Snapshot the frontiers the search expands, for inspection and
     invariant checks.
 
     Entries come in search order: bucket by bucket in increasing bound f;
     inside a bucket each seed is one entry of a single state, followed by
-    the frontiers it leads to, deepest level first.  Each entry is taken
-    just before it is expanded, so the one in which the search finished is
-    included; when the optimum is 0 it is the seed that finished, with its
-    empty fragment.  ``p0`` None seeds all placements; ``max_levels`` keeps
-    only states with f within it.
+    the frontiers it leads to, deepest level first.  An entry holds one
+    state per placement, with every fragment the frontier has on it; each
+    (placement, fragment) appears once.  Each entry is taken just before
+    it is expanded, so the one in which the search finished is included;
+    when the optimum is 0 it is the seed that finished, with its empty
+    fragment.  ``p0`` None seeds all placements.
     """
     collected: list[list[SearchState]] = []
 
     def snap(_bound: int, _level: int, frontier) -> None:
+        by_placement: dict[tuple[int, ...], list[int]] = {}
+        for phys, mask in frontier:
+            by_placement.setdefault(phys, []).append(mask)
         collected.append([
             SearchState(Placement(phys), tuple(
                 descriptor(Subcircuit._from_mask(c, m)) for m in masks))
-            for phys, masks in sorted(frontier)
+            for phys, masks in sorted(by_placement.items())
         ])
 
-    _solve(c, g, start=p0, strict=strict, budget=max_levels, state_cap=state_cap,
+    _solve(c, g, start=p0, strict=strict, budget=None, state_cap=state_cap,
            on_level=snap)
     return collected
 

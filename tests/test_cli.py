@@ -70,6 +70,14 @@ class TestSolve:
         assert proc.returncode == 2
         assert "line 2" in proc.stderr
 
+    def test_edgeless_large_graph_header_exits_2(self, tmp_path, triangle_files):
+        circuit, _ = triangle_files
+        graph = tmp_path / "huge.cg"
+        graph.write_text("nodes 1000000\n")
+        proc = run_cli("solve", "--circuit", circuit, "--graph", graph)
+        assert proc.returncode == 2
+        assert "not connected" in proc.stderr
+
     def test_strict_flag(self, tmp_path):
         circuit = tmp_path / "pair.qc"
         circuit.write_text("qubits 2\ncx 0 1\n")

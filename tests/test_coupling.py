@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -179,6 +180,16 @@ class TestSerialization:
         assert e.value.line == 2
         with pytest.raises(ParseError):
             parse_graph("")
+
+    def test_large_header_without_edges_is_rejected_cheaply(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="not connected"):
+                parse_graph("nodes 1000000\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "dev.cg"

@@ -335,14 +335,24 @@ class TestSearchLevels:
             for frag in state.fragments:
                 assert frag.num_qubits == 3
 
-    def test_fragment_sets_are_antichains(self):
-        from qcmap import is_smaller, restore
-        c = triangle_circuit()
-        for level in search_levels(c, linear(4)):
-            for state in level:
-                subs = [restore(c, d) for d in state.fragments]
-                for a, b in itertools.combinations(subs, 2):
-                    assert not is_smaller(a, b) and not is_smaller(b, a)
+    def test_frontier_states_are_distinct_and_reduced(self):
+        from qcmap import reduce_subcircuit, restore
+        draw = gen_random_circuit(RandomCircuitSpec(4, 10, 1.0, 1))  # optimum 2
+        cases = [
+            (triangle_circuit(), linear(4), False),
+            (draw, grid_square(3, 3), False),
+            (draw, grid_square(3, 3), True),
+        ]
+        checked = 0
+        for c, g, strict in cases:
+            for frontier in search_levels(c, g, strict=strict):
+                states = [(s.placement, d) for s in frontier for d in s.fragments]
+                assert len(set(states)) == len(states), (c, g, strict)
+                for placement, d in states:
+                    sub = restore(c, d)
+                    assert reduce_subcircuit(sub, placement, g) == sub, (c, g, strict)
+                checked += len(states)
+        assert checked > 1000, "the draw's searches expand hundreds of frontiers"
 
     def test_fixed_start_has_single_seed(self):
         c = triangle_circuit()
@@ -359,8 +369,8 @@ class TestSearchLevels:
 
 
 class TestBoundedSearchAgainstBruteForce:
-    """The lower bound, the bounded seeding, the closed map and the merge
-    rule all prune; the unpruned full-state search must agree."""
+    """The lower bound, the bounded seeding and the closed map all prune;
+    the unpruned full-state search must agree."""
 
     # (graph, qubits, [(gates, seed), ...]); optima 0-2.  Every interaction
     # graph on 4 qubits embeds in tokyo(), so its optima are 0.
