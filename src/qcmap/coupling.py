@@ -97,6 +97,60 @@ class CouplingGraph:
             rows.append(tuple(dist))
         return tuple(rows)
 
+    @cached_property
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Non-identity node permutations that keep every hop distance, and
+        so every edge; ``p[v]`` is the image of node v.
+
+        Found by backtracking over node images in node order: a node maps
+        only to a node with the same sorted distance row, and each image
+        keeps the distance to every node mapped before it.  The search
+        stops after num_nodes**2 elements, which bounds the cost of testing
+        a placement against them on graphs with huge groups (a 12-leaf star
+        has 12! automorphisms).  A subset serves the mapper's seed orbit
+        filter as well as the whole group: the minimum of an orbit is no
+        larger than any of its images.
+        """
+        n = self.num_nodes
+        dist = self.distances
+        rings = []  # rings[v][d]: bitmask of the nodes d hops from v
+        for row in dist:
+            ring = [0] * (max(row) + 1)
+            for w, d in enumerate(row):
+                ring[d] |= 1 << w
+            rings.append(ring)
+        profile = [sorted(row) for row in dist]
+        same = [sum(1 << w for w in range(n) if profile[w] == profile[v]) for v in range(n)]
+        identity = tuple(range(n))
+        found: list[tuple[int, ...]] = []
+        image = [0] * n
+        # Depth-first over nodes: cands[i] holds the images still to try for
+        # node i, given the images of nodes 0..i-1.
+        cands = [0] * n
+        cands[0] = same[0]
+        i = 0
+        while i >= 0:
+            cand = cands[i]
+            if not cand:
+                i -= 1
+                continue
+            low = cand & -cand
+            cands[i] = cand ^ low
+            image[i] = low.bit_length() - 1
+            if i + 1 == n:
+                p = tuple(image)
+                if p != identity:
+                    found.append(p)
+                    if len(found) == n * n:
+                        break
+                continue
+            i += 1
+            cand = same[i]
+            for j in range(i):
+                cand &= rings[image[j]][dist[j][i]]
+            cands[i] = cand
+        return tuple(found)
+
     def distance(self, a: int, b: int) -> int:
         return self.distances[a][b]
 

@@ -27,6 +27,18 @@ dropped when its frontier is swept.  As f never drops along a path, a
 state is expanded at most once, at its lowest level.  The closed map
 also stores each state's parent and SWAP, which replay into the witness
 plan that independent verification checks.
+
+Seeds are filtered by the coupling graph's symmetry.  A graph
+automorphism keeps every distance, so it keeps h and the cost of every
+SWAP sequence: all placements in one orbit reach the same optimum, and
+they all lie in the same bucket.  From bucket 1 on, a free seed is
+expanded only if it is lexicographically no larger than its image under
+each automorphism that ``CouplingGraph.automorphisms`` found (plus any
+``node_symmetries`` given).  The orbit's minimum passes that test for any
+set of automorphisms, so every orbit keeps a seed and the optimum stays
+exact.  Bucket 0 is left unfiltered: its first seed finishes at once, so
+filtering would save nothing, and a budget-0 decide never computes the
+group.  A fixed start is a single seed and is never filtered.
 """
 
 from __future__ import annotations
@@ -182,8 +194,9 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int,
 
     Every interacting pair lies within k+1 hops and, for k > 0, some pair
     exactly k+1 hops apart.  Partial placements that break the hop limit
-    are never extended.  With symmetries, only the lexicographic minimum
-    of each orbit is yielded.  A fixed ``start`` limits each qubit to its
+    are never extended.  With symmetries, only placements no larger than
+    their image under each of them are yielded, which keeps each orbit's
+    lexicographic minimum.  A fixed ``start`` limits each qubit to its
     start node, so it is yielded for its own h only.
     """
     n = graph.num_nodes
@@ -257,8 +270,9 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, symmetries: list[tuple[int
             state_cap: int, on_level=None):
     """The search engine: best-first over (placement, fragment) states.
 
-    Seeds come from ``_seeds``: every placement (orbit minima under
-    ``symmetries``), or the fixed ``start`` alone.  States with f above
+    Seeds come from ``_seeds``: every placement, or the fixed ``start``
+    alone.  From bucket 1 on, free seeds pass the orbit filter of the
+    graph's automorphisms plus ``symmetries``.  States with f above
     ``bound`` are dropped (None: no cut).  Returns (cost, initial
     placement, swaps) for the first finished fragment, which is optimal,
     or None when nothing within the bound finishes.
@@ -465,6 +479,7 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, symmetries: list[tuple[int
                 return found
         return None
 
+    group = None  # the orbit filter, built at the first bucket that uses it
     k = 0
     while bound is None or k <= bound:
         if k > seed_max and not buckets:
@@ -473,7 +488,14 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, symmetries: list[tuple[int
         # The seeds of bucket k are its level 0: each one is expanded, and
         # the bucket swept, as soon as it is enumerated.
         if k <= seed_max:
-            for phys in _seeds(info, graph, k, symmetries, start):
+            # Bucket 0 stops at its first seed and a fixed start is one seed,
+            # so only free seeds from bucket 1 go through the orbit filter.
+            orbit_filter = []
+            if k and start is None:
+                if group is None:
+                    group = list(dict.fromkeys(graph.automorphisms + tuple(symmetries)))
+                orbit_filter = group
+            for phys in _seeds(info, graph, k, orbit_filter, start):
                 idx = index.get(phys)
                 if idx is None:
                     idx = intern(phys)
@@ -510,8 +532,8 @@ def upper_bound(c: Circuit, g: CouplingGraph) -> int:
     return t * (g.diameter - 1) if t else 0
 
 
-def _automorphisms(g: CouplingGraph,
-                   node_symmetries: Iterable[tuple[int, ...]] | None) -> list[tuple[int, ...]]:
+def _checked_symmetries(g: CouplingGraph, node_symmetries: Iterable[tuple[int, ...]] | None
+                        ) -> list[tuple[int, ...]]:
     """The given node permutations, each checked to map edges to edges."""
     perms = [tuple(p) for p in node_symmetries or ()]
     for p in perms:
@@ -533,7 +555,7 @@ def _solve(c: Circuit, g: CouplingGraph, *, start: Placement | None = None,
     ``budget`` None asks for the optimum.  An integer budget keeps only
     states with f <= budget and reports cost ``inf`` when none finishes.
     """
-    symmetries = _automorphisms(g, node_symmetries)
+    symmetries = _checked_symmetries(g, node_symmetries)
     p0 = None
     if start is not None:
         start.check_against(c, g)
@@ -555,15 +577,16 @@ def solve_exact(c: Circuit, g: CouplingGraph, *, strict: bool = False,
                 node_symmetries: Iterable[tuple[int, ...]] | None = None) -> MapResult:
     """Minimal SWAP count over all initial placements, with one witness plan.
 
-    Every injective placement is a potential seed, so the result is exact.
-    ``strict`` restricts SWAPs to edges whose endpoints both hold qubits;
-    strict instances can be unsolvable, reported as cost ``inf``.
+    Every initial placement is covered: one placement per orbit of the
+    graph's automorphisms is seeded from bucket 1 on, and automorphisms
+    preserve every cost, so the result is exact.  ``strict`` restricts
+    SWAPs to edges whose endpoints both hold qubits; strict instances can
+    be unsolvable, reported as cost ``inf``.
 
-    ``node_symmetries`` optionally prunes seed placements: each entry is a
-    graph automorphism (a node permutation mapping edges to edges; anything
-    else raises ValueError), and only placements lexicographically minimal
-    within their orbit are seeded.  Automorphisms preserve every cost, so
-    the result stays exact.  Off by default.
+    ``node_symmetries`` is optional; the graph's own automorphisms are used
+    anyway.  Each entry must be a graph automorphism (a node permutation
+    mapping edges to edges; anything else raises ValueError), and is added
+    to the seed orbit filter.
     """
     return _solve(c, g, strict=strict, budget=None, state_cap=state_cap,
                   node_symmetries=node_symmetries)
@@ -603,7 +626,8 @@ def search_levels(c: Circuit, g: CouplingGraph, p0: Placement | None = None, *,
     (placement, fragment) appears once.  Each entry is taken just before
     it is expanded, so the one in which the search finished is included;
     when the optimum is 0 it is the seed that finished, with its empty
-    fragment.  ``p0`` None seeds all placements.
+    fragment.  ``p0`` None seeds all placements, from bucket 1 on one per
+    orbit of the graph's automorphisms.
     """
     collected: list[list[SearchState]] = []
 

@@ -222,3 +222,11 @@ class TestBench:
     def test_bad_range_rejected(self):
         proc = run_cli("bench", "--qubits", 3, "--gates", "4:x", "--samples", 2)
         assert proc.returncode == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_m_qcmap_help(self):
+        proc = subprocess.run([sys.executable, "-m", "qcmap", "--help"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "usage:" in proc.stdout

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -161,6 +163,52 @@ class TestMetrics:
         for v in range(4):
             mask = g.adjacency_masks[v]
             assert {w for w in range(4) if mask >> w & 1} == set(g.neighbors[v])
+
+
+class TestAutomorphisms:
+    @staticmethod
+    def relabeled(g: CouplingGraph, perm) -> CouplingGraph:
+        return CouplingGraph(g.num_nodes, [(perm[a], perm[b]) for a, b in g.edges])
+
+    def test_elements_are_non_identity_edge_maps(self):
+        rng = random.Random(71)
+        graphs = [grid_square(3, 3), cycle(8), aspen(), tokyo(), grid_hex(2, 2),
+                  clique(5), *(random_connected_graph(rng, 7, 3) for _ in range(4))]
+        for g in graphs:
+            identity = tuple(range(g.num_nodes))
+            for p in g.automorphisms:
+                assert sorted(p) == list(identity), g
+                assert p != identity, g
+                assert all(g.has_edge(p[a], p[b]) for a, b in g.edges), g
+
+    def test_small_groups_match_every_edge_map(self):
+        # Every permutation of a small graph, checked directly; each group
+        # here has fewer than num_nodes**2 elements, so none is truncated.
+        for g in (cycle(5), linear(5), grid_square(2, 3), clique(3)):
+            nodes = range(g.num_nodes)
+            every = {p for p in itertools.permutations(nodes)
+                     if all(g.has_edge(p[a], p[b]) for a, b in g.edges)}
+            every.discard(tuple(nodes))
+            assert set(g.automorphisms) == every, g
+            assert len(g.automorphisms) == len(every), g
+
+    @pytest.mark.parametrize("g, count", [
+        (grid_square(3, 3), 7), (cycle(8), 15), (cycle(5), 9), (linear(5), 1),
+        (aspen(), 3), (tokyo(), 1),
+    ])
+    def test_counts(self, g, count):
+        assert len(g.automorphisms) == count
+        perm = random.Random(g.num_nodes).sample(range(g.num_nodes), g.num_nodes)
+        assert len(self.relabeled(g, perm).automorphisms) == count
+
+    def test_huge_group_is_truncated_quickly(self):
+        # A 12-leaf star has 12! automorphisms; the search stops at 13**2.
+        star = CouplingGraph(13, [(0, leaf) for leaf in range(1, 13)])
+        t0 = time.perf_counter()
+        group = star.automorphisms
+        assert time.perf_counter() - t0 < 1.0
+        assert len(group) == len(set(group)) == 169
+        assert all(p[0] == 0 for p in group)
 
 
 class TestSerialization:

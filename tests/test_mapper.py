@@ -282,6 +282,69 @@ class TestNodeSymmetries:
                     assert not decide(c, g, cost - 1, node_symmetries=group)
 
 
+class TestSeedOrbitFilter:
+    """From bucket 1 on, free seeds are filtered by the graph's own
+    automorphisms; solve_from has a fixed start and is never filtered."""
+
+    GRAPHS = [cycle(5), grid_square(2, 3), grid_square(3, 3), linear(5)]
+
+    def test_matches_min_over_fixed_starts(self):
+        rng = random.Random(67)
+        for g in self.GRAPHS:
+            assert g.automorphisms
+            starts = [Placement(p) for p in itertools.permutations(range(g.num_nodes), 3)]
+            for _ in range(3):  # optima 0-3
+                c = gen_random_circuit(RandomCircuitSpec(3, rng.randrange(8, 15), 1.0,
+                                                         rng.randrange(1000)))
+                for strict in (False, True):
+                    where = (g, c, strict)
+                    res = solve_exact(c, g, strict=strict)
+                    assert res.cost == min(solve_from(c, g, p, strict=strict).cost
+                                           for p in starts), where
+                    if not res.feasible:
+                        continue
+                    report = verify_plan(c, g, res.plan)
+                    assert report.accepted and report.swaps_used == res.cost, where
+                    assert decide(c, g, res.cost, strict=strict), where
+                    if res.cost > 0:
+                        assert not decide(c, g, res.cost - 1, strict=strict), where
+
+    def test_every_orbit_keeps_a_seed(self):
+        # Closing the filtered seeds of each bucket under the group gives
+        # back every seed of that bucket.  Each group here is complete.
+        from qcmap.mapper import _CircuitInfo, _seeds
+        rng = random.Random(73)
+        for g in [*self.GRAPHS, aspen()]:
+            group = [tuple(range(g.num_nodes)), *g.automorphisms]
+            for qubits in (3, 4):
+                c = gen_random_circuit(RandomCircuitSpec(qubits, 8, 1.0, rng.randrange(1000)))
+                info = _CircuitInfo(c)
+                for k in range(1, g.diameter):
+                    every = set(_seeds(info, g, k, (), None))
+                    kept = set(_seeds(info, g, k, g.automorphisms, None))
+                    assert kept <= every, (g, c, k)
+                    orbits = {tuple(p[x] for x in s) for s in kept for p in group}
+                    assert orbits == every, (g, c, k)
+                    if every:
+                        assert len(kept) < len(every), (g, c, k)
+
+    def test_bucket_zero_never_computes_the_group(self):
+        g = grid_square(3, 3)
+        c = gen_random_circuit(RandomCircuitSpec(4, 14, 1.0, 0))
+        assert not decide(c, g, 0)
+        assert "automorphisms" not in vars(g)
+        assert solve_exact(gen_cycle_circuit(4), g).cost == 0
+        assert "automorphisms" not in vars(g)
+        assert solve_exact(c, g).cost == 3
+        assert "automorphisms" in vars(g)
+
+    def test_fixed_start_never_computes_the_group(self):
+        g = cycle(5)
+        c = gen_random_circuit(RandomCircuitSpec(3, 8, 1.0, 3))
+        assert solve_from(c, g, Placement((0, 2, 4))).cost == 4  # buckets 1-4 seeded
+        assert "automorphisms" not in vars(g)
+
+
 class TestInvariances:
     def test_single_qubit_gates_are_free(self):
         rng = random.Random(47)
@@ -337,7 +400,7 @@ class TestSearchLevels:
 
     def test_frontier_states_are_distinct_and_reduced(self):
         from qcmap import reduce_subcircuit, restore
-        draw = gen_random_circuit(RandomCircuitSpec(4, 10, 1.0, 1))  # optimum 2
+        draw = gen_random_circuit(RandomCircuitSpec(4, 14, 1.0, 0))  # optimum 3
         cases = [
             (triangle_circuit(), linear(4), False),
             (draw, grid_square(3, 3), False),
