@@ -107,9 +107,11 @@ class CouplingGraph:
         keeps the distance to every node mapped before it.  The search
         stops after num_nodes**2 elements, which bounds the cost of testing
         a placement against them on graphs with huge groups (a 12-leaf star
-        has 12! automorphisms).  A subset serves the mapper's seed orbit
-        filter as well as the whole group: the minimum of an orbit is no
-        larger than any of its images.
+        has 12! automorphisms).  A truncated subset still keeps the mapper's
+        seed orbit filter exact: an orbit's leader, its least placement in
+        the seed backtrack's order, is no larger than any of its images, so
+        it passes the test for any subset.  Only the complete group makes
+        the leader the one seed of its orbit; a subset may keep more.
         """
         n = self.num_nodes
         dist = self.distances

@@ -31,20 +31,25 @@ plan that independent verification checks.
 Seeds are filtered by the coupling graph's symmetry.  A graph
 automorphism keeps every distance, so it keeps h and the cost of every
 SWAP sequence: all placements in one orbit reach the same optimum, and
-they all lie in the same bucket.  From bucket 1 on, a free seed is
-expanded only if it is lexicographically no larger than its image under
-each automorphism that ``CouplingGraph.automorphisms`` found (plus any
-``node_symmetries`` given).  The orbit's minimum passes that test for any
-set of automorphisms, so every orbit keeps a seed and the optimum stays
-exact.  Bucket 0 is left unfiltered: its first seed finishes at once, so
-filtering would save nothing, and a budget-0 decide never computes the
-group.  A fixed start is a single seed and is never filtered.
+they all lie in the same bucket.  From bucket 1 on, only orbit leaders
+are seeded: a placement, read in the backtrack's qubit order, must be
+lexicographically no larger than its image under each automorphism that
+``CouplingGraph.automorphisms`` found.  The test is applied to every
+partial placement of the backtrack, not to finished ones: a node is
+refused at a position as soon as an automorphism that fixes every node
+placed before it maps that node lower, so the backtrack never builds
+anything below a prefix that cannot lead its orbit.  The orbit's leader
+passes the test for any set of automorphisms, so every orbit keeps a
+seed and the optimum stays exact; under the complete group the leader is
+the only seed of its orbit.  Bucket 0 is left unfiltered: its first seed
+finishes at once, so filtering would save nothing, and a budget-0 decide
+never computes the group.  A fixed start is a single seed and is never
+filtered.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .circuits import Circuit
@@ -189,15 +194,18 @@ class _CircuitInfo:
 
 
 def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int,
-           symmetries: list[tuple[int, ...]], start: tuple[int, ...] | None):
+           symmetries: tuple[tuple[int, ...], ...], start: tuple[int, ...] | None):
     """Initial placements with h exactly k, in backtracking order.
 
     Every interacting pair lies within k+1 hops and, for k > 0, some pair
     exactly k+1 hops apart.  Partial placements that break the hop limit
-    are never extended.  With symmetries, only placements no larger than
-    their image under each of them are yielded, which keeps each orbit's
-    lexicographic minimum.  A fixed ``start`` limits each qubit to its
-    start node, so it is yielded for its own h only.
+    are never extended.  With symmetries, a placement is yielded only if,
+    read in backtrack order (``info.order``), it is lexicographically no
+    larger than its image under each of them; under a complete group that
+    is one placement per orbit, its leader.  The test runs on every
+    prefix, so no placement below a prefix that cannot lead its orbit is
+    built.  A fixed ``start`` limits each qubit to its start node, so it
+    is yielded for its own h only.
     """
     n = graph.num_nodes
     dist = graph.distances
@@ -225,13 +233,43 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int,
     if not num_qubits:
         yield ()
         return
+    # The lex-leader test, with the symmetries as bits of a "tied" set: the
+    # ones that fix every node placed so far.  A tied symmetry that maps
+    # the next node lower makes the image smaller, so that node is banned;
+    # one that maps it higher can reject nothing below it, so only the
+    # symmetries fixing the node stay tied.
+    fixes = [0] * n      # per node, the symmetries that fix it
+    lowers = []          # per symmetry, the nodes it maps lower
+    for j, p in enumerate(symmetries):
+        down = 0
+        for x, y in enumerate(p):
+            if y == x:
+                fixes[x] |= 1 << j
+            elif y < x:
+                down |= 1 << x
+        lowers.append(down)
+    banned: dict[int, int] = {}  # tied set -> nodes some tied symmetry maps lower
+
+    def ban(tied: int) -> int:
+        out = 0
+        t = tied
+        while t:
+            bit = t & -t
+            t ^= bit
+            out |= lowers[bit.bit_length() - 1]
+        banned[tied] = out
+        return out
+
     pos = [0] * num_qubits
     # Depth-first over backtrack positions: cands[i] holds the nodes still
-    # to try at position i, free[i] the nodes left free before it.
+    # to try at position i, free[i] the nodes left free before it and
+    # tied[i] the symmetries that fix the nodes placed before it.
     cands = [0] * num_qubits
     free = [0] * (num_qubits + 1)
+    tied = [0] * (num_qubits + 1)
     free[0] = (1 << n) - 1
-    cands[0] = free[0] & fits[0]
+    tied[0] = (1 << len(symmetries)) - 1
+    cands[0] = free[0] & fits[0] & ~ban(tied[0])
     i = 0
     while i >= 0:
         cand = cands[i]
@@ -240,19 +278,25 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int,
             continue
         low = cand & -cand
         cands[i] = cand ^ low
-        pos[order[i]] = low.bit_length() - 1
+        x = low.bit_length() - 1
+        pos[order[i]] = x
         i += 1
         if i == num_active and k and all(dist[pos[a]][pos[b]] <= k for a, b in pairs):
             i -= 1  # every pair within k hops: a seed of a lower bucket
             continue
         if i == num_qubits:
             i -= 1
-            s = tuple(pos)
-            if not symmetries or all(s <= tuple(p[x] for x in s) for p in symmetries):
-                yield s
+            yield tuple(pos)
             continue
         free[i] = free[i - 1] ^ low
         cand = free[i] & fits[i]
+        # Skipped outright without symmetries: the budget-0 embedding test
+        # runs this loop on every call and pays for each added step.
+        if symmetries:
+            t = tied[i] = tied[i - 1] & fixes[x]
+            if t:
+                b = banned.get(t)
+                cand &= ~(ban(t) if b is None else b)
         for r in back[i]:
             cand &= reach[pos[r]]
         cands[i] = cand
@@ -265,14 +309,13 @@ _LEVEL_BITS = 32
 _LEVEL_MASK = (1 << _LEVEL_BITS) - 1
 
 
-def _search(info: _CircuitInfo, graph: CouplingGraph, symmetries: list[tuple[int, ...]],
-            start: tuple[int, ...] | None, *, strict: bool, bound: int | None,
-            state_cap: int, on_level=None):
+def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | None, *,
+            strict: bool, bound: int | None, state_cap: int, on_level=None):
     """The search engine: best-first over (placement, fragment) states.
 
     Seeds come from ``_seeds``: every placement, or the fixed ``start``
-    alone.  From bucket 1 on, free seeds pass the orbit filter of the
-    graph's automorphisms plus ``symmetries``.  States with f above
+    alone.  From bucket 1 on, free seeds pass the orbit filter of
+    ``graph.automorphisms``.  States with f above
     ``bound`` are dropped (None: no cut).  Returns (cost, initial
     placement, swaps) for the first finished fragment, which is optimal,
     or None when nothing within the bound finishes.
@@ -479,7 +522,6 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, symmetries: list[tuple[int
                 return found
         return None
 
-    group = None  # the orbit filter, built at the first bucket that uses it
     k = 0
     while bound is None or k <= bound:
         if k > seed_max and not buckets:
@@ -490,11 +532,7 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, symmetries: list[tuple[int
         if k <= seed_max:
             # Bucket 0 stops at its first seed and a fixed start is one seed,
             # so only free seeds from bucket 1 go through the orbit filter.
-            orbit_filter = []
-            if k and start is None:
-                if group is None:
-                    group = list(dict.fromkeys(graph.automorphisms + tuple(symmetries)))
-                orbit_filter = group
+            orbit_filter = graph.automorphisms if k and start is None else ()
             for phys in _seeds(info, graph, k, orbit_filter, start):
                 idx = index.get(phys)
                 if idx is None:
@@ -532,37 +570,21 @@ def upper_bound(c: Circuit, g: CouplingGraph) -> int:
     return t * (g.diameter - 1) if t else 0
 
 
-def _checked_symmetries(g: CouplingGraph, node_symmetries: Iterable[tuple[int, ...]] | None
-                        ) -> list[tuple[int, ...]]:
-    """The given node permutations, each checked to map edges to edges."""
-    perms = [tuple(p) for p in node_symmetries or ()]
-    for p in perms:
-        if sorted(p) != list(range(g.num_nodes)):
-            raise ValueError("each symmetry must be a permutation of the graph nodes")
-        if not all(g.has_edge(p[a], p[b]) for a, b in g.edges):
-            raise ValueError(f"symmetry {p} maps an edge to a non-edge, "
-                             "so it is not a graph automorphism")
-    return perms
-
-
 def _solve(c: Circuit, g: CouplingGraph, *, start: Placement | None = None,
-           strict: bool, budget: int | None, state_cap: int,
-           node_symmetries: Iterable[tuple[int, ...]] | None = None,
-           on_level=None) -> MapResult:
+           strict: bool, budget: int | None, state_cap: int, on_level=None) -> MapResult:
     """The one result path behind solve_exact, solve_from, decide and
     search_levels.
 
     ``budget`` None asks for the optimum.  An integer budget keeps only
     states with f <= budget and reports cost ``inf`` when none finishes.
     """
-    symmetries = _checked_symmetries(g, node_symmetries)
     p0 = None
     if start is not None:
         start.check_against(c, g)
         p0 = start.to_physical
     if c.num_qubits > g.num_nodes:
         return MapResult(math.inf, None)
-    found = _search(_CircuitInfo(c), g, symmetries, p0, strict=strict, bound=budget,
+    found = _search(_CircuitInfo(c), g, p0, strict=strict, bound=budget,
                     state_cap=state_cap, on_level=on_level)
     if found is None:
         if strict or budget is not None:
@@ -573,23 +595,17 @@ def _solve(c: Circuit, g: CouplingGraph, *, start: Placement | None = None,
 
 
 def solve_exact(c: Circuit, g: CouplingGraph, *, strict: bool = False,
-                state_cap: int = DEFAULT_STATE_CAP,
-                node_symmetries: Iterable[tuple[int, ...]] | None = None) -> MapResult:
+                state_cap: int = DEFAULT_STATE_CAP) -> MapResult:
     """Minimal SWAP count over all initial placements, with one witness plan.
 
-    Every initial placement is covered: one placement per orbit of the
-    graph's automorphisms is seeded from bucket 1 on, and automorphisms
-    preserve every cost, so the result is exact.  ``strict`` restricts
-    SWAPs to edges whose endpoints both hold qubits; strict instances can
-    be unsolvable, reported as cost ``inf``.
-
-    ``node_symmetries`` is optional; the graph's own automorphisms are used
-    anyway.  Each entry must be a graph automorphism (a node permutation
-    mapping edges to edges; anything else raises ValueError), and is added
-    to the seed orbit filter.
+    Every initial placement is covered: from bucket 1 on, the search
+    seeds each orbit of ``g.automorphisms`` through its leader, the
+    placement that is lexicographically least in backtrack order, and
+    automorphisms preserve every cost, so the result is exact.  ``strict``
+    restricts SWAPs to edges whose endpoints both hold qubits; strict
+    instances can be unsolvable, reported as cost ``inf``.
     """
-    return _solve(c, g, strict=strict, budget=None, state_cap=state_cap,
-                  node_symmetries=node_symmetries)
+    return _solve(c, g, strict=strict, budget=None, state_cap=state_cap)
 
 
 def solve_from(c: Circuit, g: CouplingGraph, p0: Placement, *, strict: bool = False,
@@ -599,18 +615,17 @@ def solve_from(c: Circuit, g: CouplingGraph, p0: Placement, *, strict: bool = Fa
 
 
 def decide(c: Circuit, g: CouplingGraph, k: int, *, strict: bool = False,
-           state_cap: int = DEFAULT_STATE_CAP,
-           node_symmetries: Iterable[tuple[int, ...]] | None = None) -> bool:
+           state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """Is the circuit mappable with at most k SWAPs?
 
     The search keeps only states whose lower bound f stays within k, so
     budget 0 seeds only embeddings of the interaction topology and stops
-    at the first one.
+    at the first one.  From bucket 1 on, the seeds are the orbit leaders
+    of ``g.automorphisms``, as in ``solve_exact``.
     """
     if k < 0:
         raise ValueError("budget must be >= 0")
-    return _solve(c, g, strict=strict, budget=k, state_cap=state_cap,
-                  node_symmetries=node_symmetries).feasible
+    return _solve(c, g, strict=strict, budget=k, state_cap=state_cap).feasible
 
 
 def search_levels(c: Circuit, g: CouplingGraph, p0: Placement | None = None, *,

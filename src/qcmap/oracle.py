@@ -33,24 +33,23 @@ class VerificationReport:
 def _advance(c: Circuit, g: CouplingGraph, pos: list[int], executed: set[int]) -> None:
     """Execute every gate that can run, straight from the definition:
     a gate runs once all earlier gates sharing one of its qubits have run
-    and (for two-qubit gates) its operands sit on adjacent nodes."""
+    and (for two-qubit gates) its operands sit on adjacent nodes.
+
+    Each pass scans the gates in order and collects the qubits of the
+    gates it leaves pending: a later gate on one of those qubits still has
+    an earlier gate sharing it that has not run."""
     changed = True
     while changed:
         changed = False
+        blocked: set[int] = set()
         for gate in c.gates:
             i = gate.index
             if i in executed:
                 continue
-            mine = set(gate.qubits)
-            if any(
-                h.index not in executed and mine & set(h.qubits)
-                for h in c.gates[:i]
-            ):
+            if blocked.intersection(gate.qubits) or (
+                    gate.is_two_qubit and not g.has_edge(pos[gate.qubits[0]], pos[gate.qubits[1]])):
+                blocked.update(gate.qubits)
                 continue
-            if gate.is_two_qubit:
-                qa, qb = gate.qubits
-                if not g.has_edge(pos[qa], pos[qb]):
-                    continue
             executed.add(i)
             changed = True
 

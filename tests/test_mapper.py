@@ -225,61 +225,40 @@ class TestDecide:
 
 
 class TestNodeSymmetries:
-    def cycle_automorphisms(self, n):
-        rots = [tuple((i + r) % n for i in range(n)) for r in range(n)]
-        return rots + [tuple(p[::-1]) for p in rots]
+    """The search seeds one placement per orbit of the graph's own
+    automorphisms; it must agree with the unfiltered fixed-start searches
+    over every placement."""
+
+    @staticmethod
+    def best_start(c, g, strict=False):
+        return min(solve_from(c, g, Placement(p), strict=strict).cost
+                   for p in itertools.permutations(range(g.num_nodes), c.num_qubits))
 
     def test_pruned_solve_matches(self):
-        perms = self.cycle_automorphisms(4)
         rng = random.Random(43)
         for _ in range(6):
             c = random_cnot_circuit(rng, 3, rng.randrange(1, 6))
-            assert (solve_exact(c, cycle(4), node_symmetries=perms).cost
-                    == solve_exact(c, cycle(4)).cost)
+            assert solve_exact(c, cycle(4)).cost == self.best_start(c, cycle(4)), c
 
     def test_pruned_decide_matches(self):
-        perms = self.cycle_automorphisms(4)
         c = triangle_circuit()
+        best = self.best_start(c, cycle(4))
+        assert best == 1
         for k in range(3):
-            assert (decide(c, cycle(4), k, node_symmetries=perms)
-                    == decide(c, cycle(4), k))
-
-    def test_invalid_permutation_rejected(self):
-        with pytest.raises(ValueError):
-            solve_exact(triangle_circuit(), linear(3), node_symmetries=[(0, 0, 1)])
-
-    def test_non_automorphism_rejected(self):
-        # (0,1,3,2) maps edge (1,2) of the path to the non-edge (1,3); the
-        # orbit filter it implies would prune every optimal seed.
-        c = gen_random_circuit(RandomCircuitSpec(4, 6, 1.0, 18))
-        assert solve_exact(c, linear(4)).cost == 2
-        with pytest.raises(ValueError):
-            solve_exact(c, linear(4), node_symmetries=[(0, 1, 3, 2)])
-        with pytest.raises(ValueError):
-            decide(c, linear(4), 2, node_symmetries=[(0, 1, 3, 2)])
-
-    @staticmethod
-    def grid_automorphisms(n):
-        """The eight symmetries of the n x n square lattice."""
-        maps = [lambda r, c: (r, c), lambda r, c: (c, n - 1 - r),
-                lambda r, c: (n - 1 - r, n - 1 - c), lambda r, c: (n - 1 - c, r),
-                lambda r, c: (r, n - 1 - c), lambda r, c: (n - 1 - r, c),
-                lambda r, c: (c, r), lambda r, c: (n - 1 - c, n - 1 - r)]
-        return [tuple(f(v // n, v % n)[0] * n + f(v // n, v % n)[1] for v in range(n * n))
-                for f in maps]
+            assert decide(c, cycle(4), k) == (k >= best)
 
     def test_automorphism_groups_keep_optima(self):
-        cases = [(cycle(4), self.cycle_automorphisms(4), 3),
-                 (grid_square(3, 3), self.grid_automorphisms(3), 4)]
+        cases = [(cycle(4), 3), (grid_square(3, 3), 3)]
         rng = random.Random(61)
-        for g, group, qubits in cases:
+        for g, qubits in cases:
+            assert g.automorphisms
             for _ in range(4):
                 c = random_cnot_circuit(rng, qubits, rng.randrange(2, 8))
-                cost = solve_exact(c, g).cost
-                assert solve_exact(c, g, node_symmetries=group).cost == cost
-                assert decide(c, g, cost, node_symmetries=group)
+                cost = self.best_start(c, g)
+                assert solve_exact(c, g).cost == cost, (g, c)
+                assert decide(c, g, cost), (g, c)
                 if cost > 0:
-                    assert not decide(c, g, cost - 1, node_symmetries=group)
+                    assert not decide(c, g, cost - 1), (g, c)
 
 
 class TestSeedOrbitFilter:
@@ -327,6 +306,25 @@ class TestSeedOrbitFilter:
                     assert orbits == every, (g, c, k)
                     if every:
                         assert len(kept) < len(every), (g, c, k)
+
+    def test_complete_group_keeps_one_seed_per_orbit(self):
+        # The converse of test_every_orbit_keeps_a_seed: with the whole
+        # group as the filter, no two kept seeds share an orbit.
+        from qcmap.mapper import _CircuitInfo, _seeds
+        rng = random.Random(79)
+        for g in [cycle(5), cycle(6), grid_square(2, 3), grid_square(3, 3), linear(5), aspen()]:
+            group = {tuple(range(g.num_nodes)), *g.automorphisms}
+            assert {tuple(p[x] for x in q) for p in group for q in group} == group, g
+            for qubits in (3, 4):
+                c = gen_random_circuit(RandomCircuitSpec(qubits, 8, 1.0, rng.randrange(1000)))
+                info = _CircuitInfo(c)
+                for k in range(1, g.diameter):
+                    every = set(_seeds(info, g, k, (), None))
+                    orbits = {frozenset(tuple(p[x] for x in s) for p in group) for s in every}
+                    kept = list(_seeds(info, g, k, g.automorphisms, None))
+                    kept_orbits = {frozenset(tuple(p[x] for x in s) for p in group)
+                                   for s in kept}
+                    assert len(kept) == len(kept_orbits) == len(orbits), (g, c, k)
 
     def test_bucket_zero_never_computes_the_group(self):
         g = grid_square(3, 3)

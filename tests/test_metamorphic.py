@@ -1,0 +1,100 @@
+"""Metamorphic relations of the optimum: transformations of an instance
+whose effect on the minimal SWAP count is known without computing it.
+
+No oracle is needed, so these reach devices and qubit counts that
+``brute_force_g`` cannot.  Each relation changes something the seed orbit
+filter depends on: node labels change which placement leads each orbit,
+qubit labels change the backtrack order the leaders are read in, and an
+added edge changes the automorphism group.  Cases are derandomized, so
+every run checks the same instances.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcmap import (
+    Circuit,
+    CouplingGraph,
+    RandomCircuitSpec,
+    aspen,
+    cycle,
+    decide,
+    gen_random_circuit,
+    grid_square,
+    linear,
+    solve_exact,
+    tokyo,
+)
+
+GRAPHS = [grid_square(3, 3), aspen(), cycle(6), linear(6), tokyo()]
+# Gate counts per qubit count: enough for optima up to 4, few enough that
+# every solve takes milliseconds.
+GATES = {3: (6, 14), 4: (6, 12), 5: (5, 9)}
+
+CASES = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+@st.composite
+def instances(draw):
+    """A device, a seeded random circuit of 3-5 qubits and a mode."""
+    g = draw(st.sampled_from(GRAPHS))
+    qubits = draw(st.integers(3, 5))
+    spec = RandomCircuitSpec(qubits, draw(st.integers(*GATES[qubits])),
+                             draw(st.sampled_from((1.0, 0.8))),
+                             draw(st.integers(0, 10**6)))
+    return g, gen_random_circuit(spec), draw(st.booleans())
+
+
+def cost(c, g, strict):
+    return solve_exact(c, g, strict=strict).cost
+
+
+@CASES
+@given(instances(), st.data())
+def test_node_relabelling_keeps_optimum(case, data):
+    g, c, strict = case
+    perm = data.draw(st.permutations(range(g.num_nodes)))
+    relabelled = CouplingGraph(g.num_nodes, [(perm[a], perm[b]) for a, b in g.edges])
+    assert cost(c, relabelled, strict) == cost(c, g, strict)
+
+
+@CASES
+@given(instances(), st.data())
+def test_qubit_relabelling_keeps_optimum(case, data):
+    g, c, strict = case
+    perm = data.draw(st.permutations(range(c.num_qubits)))
+    relabelled = Circuit.from_ops(
+        c.num_qubits, [(gate.label, tuple(perm[q] for q in gate.qubits)) for gate in c.gates])
+    assert cost(relabelled, g, strict) == cost(c, g, strict)
+
+
+@CASES
+@given(instances(), st.data())
+def test_added_edge_never_raises_optimum(case, data):
+    # Every plan stays legal and every gate stays executable no later.
+    g, c, strict = case
+    missing = [(a, b) for a in range(g.num_nodes) for b in range(a + 1, g.num_nodes)
+               if not g.has_edge(a, b)]
+    edge = data.draw(st.sampled_from(missing))
+    denser = CouplingGraph(g.num_nodes, [*g.edges, edge])
+    assert cost(c, denser, strict) <= cost(c, g, strict)
+
+
+@CASES
+@given(instances())
+def test_reversed_circuit_keeps_optimum(case):
+    # A plan replays backwards from its final placement.
+    g, c, strict = case
+    reversed_c = Circuit.from_ops(c.num_qubits,
+                                  [(gate.label, gate.qubits) for gate in reversed(c.gates)])
+    assert cost(reversed_c, g, strict) == cost(c, g, strict)
+
+
+@CASES
+@given(instances())
+def test_decide_brackets_optimum(case):
+    g, c, strict = case
+    opt = cost(c, g, strict)
+    assert decide(c, g, opt, strict=strict)
+    if opt > 0:
+        assert not decide(c, g, opt - 1, strict=strict)

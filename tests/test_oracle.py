@@ -15,6 +15,8 @@ from qcmap import (
     grid_square,
     ham_cycle,
     ham_path,
+    RandomCircuitSpec,
+    gen_random_circuit,
     linear,
     max_clique_at_least,
     shortest_path,
@@ -22,6 +24,7 @@ from qcmap import (
     solve_exact,
     verify_plan,
 )
+from qcmap.oracle import _advance
 
 from helpers import random_cnot_circuit, random_connected_graph
 
@@ -109,6 +112,43 @@ class TestVerifyPlan:
             report = verify_plan(c, g, longer)
             assert report.accepted
             assert report.swaps_used == len(plan.swaps)
+
+
+def rescan_advance(c, g, pos, executed):
+    """The executability rule as first written: for each gate, rescan every
+    earlier gate for a pending one on a shared qubit."""
+    changed = True
+    while changed:
+        changed = False
+        for gate in c.gates:
+            i = gate.index
+            if i in executed:
+                continue
+            mine = set(gate.qubits)
+            if any(h.index not in executed and mine & set(h.qubits) for h in c.gates[:i]):
+                continue
+            if gate.is_two_qubit:
+                qa, qb = gate.qubits
+                if not g.has_edge(pos[qa], pos[qb]):
+                    continue
+            executed.add(i)
+            changed = True
+
+
+class TestAdvance:
+    def test_matches_rescan(self):
+        rng = random.Random(89)
+        for _ in range(300):
+            n = rng.randrange(2, 6)
+            g = random_connected_graph(rng, rng.randrange(n, 8), rng.randrange(0, 4))
+            c = gen_random_circuit(RandomCircuitSpec(n, rng.randrange(1, 14),
+                                                     rng.choice((1.0, 0.7)), rng.randrange(10**6)))
+            pos = rng.sample(range(g.num_nodes), n)
+            start = {i for i in range(len(c.gates)) if rng.random() < 0.3}
+            fast, slow = set(start), set(start)
+            _advance(c, g, pos, fast)
+            rescan_advance(c, g, pos, slow)
+            assert fast == slow, (c, g, pos, start)
 
 
 class TestBruteForce:
