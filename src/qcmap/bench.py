@@ -113,6 +113,8 @@ def run_benchmark(qubits: int, gate_range, samples: int, seed: int, *,
         raise ValueError("samples must be at least 1")
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    if state_cap < 1:
+        raise ValueError("state_cap must be at least 1")
     nodes = qubits if graph_nodes is None else graph_nodes
     gates = list(gate_range)
     workers = min(threads, os.cpu_count() or 1)

@@ -28,6 +28,19 @@ state is expanded at most once, at its lowest level.  The closed map
 also stores each state's parent and SWAP, which replay into the witness
 plan that independent verification checks.
 
+A search over all placements drops seed-dominated states.  The seed
+state of a placement is that placement with the full circuit reduced on
+it, at level 0.  A state reached at level L >= 1 that equals the seed
+state of its own placement is dropped before the closed map sees it: a
+plan through it costs L more than the same plan started there, and
+every state on an optimal plan sits at its lowest reachable level.  For
+the same reason a seed that runs no gate is neither expanded, filed nor
+reported, since each of its children is the seed state of its own
+placement (the empty circuit, which runs no gate yet is finished, is the
+exception).  Both rules depend on a placement's adjacency alone, so they
+commute with the orbit filter below.  A fixed start is the one seed its
+search has, so fixed-start searches keep every state.
+
 Seeds are filtered by the coupling graph's symmetry.  A graph
 automorphism keeps every distance, so it keeps h and the cost of every
 SWAP sequence: all placements in one orbit reach the same optimum, and
@@ -315,15 +328,18 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
 
     Seeds come from ``_seeds``: every placement, or the fixed ``start``
     alone.  From bucket 1 on, free seeds pass the orbit filter of
-    ``graph.automorphisms``.  States with f above
-    ``bound`` are dropped (None: no cut).  Returns (cost, initial
-    placement, swaps) for the first finished fragment, which is optimal,
-    or None when nothing within the bound finishes.
+    ``graph.automorphisms``.  Free searches skip a seed that runs no gate
+    of a non-empty circuit and drop a child equal to its placement's seed
+    state; a fixed start keeps both.  States with f above ``bound`` are
+    dropped (None: no cut).  Returns (cost, initial placement, swaps) for
+    the first finished fragment, which is optimal, or None when nothing
+    within the bound finishes.
 
     ``on_level(k, level, states)`` sees each frontier of bucket k, as a
     list of (placement, fragment mask) pairs, before it is expanded: every
-    seed on its own at level 0, including a seed that finished, and the
-    frontiers above level 0 in sweep order.
+    seed it expands on its own at level 0, including a seed that finished
+    (a skipped seed that runs no gate is not reported), and the frontiers
+    above level 0 in sweep order.
 
     ``state_cap`` bounds the states the search holds at once: closed-map
     records, frontier entries not yet swept, and a finished state.
@@ -341,6 +357,8 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     full = info.full_mask
     level_bits, level_mask = _LEVEL_BITS, _LEVEL_MASK
     seed_max = graph.diameter - 1 if pairs else 0
+    free_start = start is None
+    seed_key = full << npairs  # reduce_memo key of a seed, less its sig
 
     # Interned placements, with per placement the bitmask of adjacent pairs
     # and the code of its per-pair (hops - 1) vector.
@@ -481,6 +499,13 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                         placement, swaps = replay(key)
                         swaps.append((p, w) if p < w else (w, p))
                         return nlevel, placement, swaps
+                    if free_start:
+                        # The seed state of nphys: starting there is cheaper.
+                        m0 = reduce_memo.get(seed_key | sig)
+                        if m0 is None:
+                            m0 = reduce_mask(full, sig)
+                        if nm == m0:
+                            continue
                     nkey = nidx << gbits | nm
                     old = closed.get(nkey)
                     if old is not None and old & level_mask <= nlevel:
@@ -538,9 +563,11 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                 if idx is None:
                     idx = intern(phys)
                 sig = sigs[idx]
-                m0 = reduce_memo.get(full << npairs | sig)
+                m0 = reduce_memo.get(seed_key | sig)
                 if m0 is None:
                     m0 = reduce_mask(full, sig)
+                if m0 == full and full and free_start:
+                    continue  # runs no gate: each child is another seed
                 key = idx << gbits | m0
                 closed[key] = 0
                 if on_level is not None:
@@ -578,6 +605,8 @@ def _solve(c: Circuit, g: CouplingGraph, *, start: Placement | None = None,
     ``budget`` None asks for the optimum.  An integer budget keeps only
     states with f <= budget and reports cost ``inf`` when none finishes.
     """
+    if state_cap < 1:
+        raise ValueError("state_cap must be at least 1")
     p0 = None
     if start is not None:
         start.check_against(c, g)
@@ -642,7 +671,9 @@ def search_levels(c: Circuit, g: CouplingGraph, p0: Placement | None = None, *,
     it is expanded, so the one in which the search finished is included;
     when the optimum is 0 it is the seed that finished, with its empty
     fragment.  ``p0`` None seeds all placements, from bucket 1 on one per
-    orbit of the graph's automorphisms.
+    orbit of the graph's automorphisms; a seed that runs no gate is then
+    neither expanded nor reported, and no state above level 0 equals the
+    seed state of its placement.
     """
     collected: list[list[SearchState]] = []
 

@@ -122,6 +122,9 @@ class TestRunBenchmark:
             run_benchmark(3, [4], 0, seed=1)
         with pytest.raises(ValueError):
             run_benchmark(3, [4], 5, seed=1, threads=0)
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="state_cap"):
+                run_benchmark(3, [4], 5, seed=1, state_cap=cap)
 
 
 class TestCsv:

@@ -61,6 +61,19 @@ class TestSolve:
         assert proc.returncode == 3
         assert "error" in proc.stderr
 
+    def test_state_cap_below_one_exits_2(self, triangle_files):
+        circuit, graph = triangle_files
+        for cap in (0, -3):
+            for cmd in (["solve"], ["decide", "--k", 1]):
+                proc = run_cli(*cmd, "--circuit", circuit, "--graph", graph,
+                               "--state-cap", cap)
+                assert proc.returncode == 2, (cmd, cap)
+                assert "state_cap must be at least 1" in proc.stderr
+            proc = run_cli("bench", "--qubits", 3, "--gates", 4, "--samples", 2,
+                           "--state-cap", cap)
+            assert proc.returncode == 2, cap
+            assert "state_cap must be at least 1" in proc.stderr
+
     def test_malformed_circuit_reports_line(self, tmp_path):
         bad = tmp_path / "bad.qc"
         bad.write_text("qubits 2\ncx 0 7\n")

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from qcmap import (
+    DEFAULT_STATE_CAP,
     Circuit,
     CouplingGraph,
     MapResult,
@@ -12,6 +13,7 @@ from qcmap import (
     Placement,
     RandomCircuitSpec,
     ResourceLimitError,
+    SearchState,
     Subcircuit,
     SwapPlan,
     aspen,
@@ -28,6 +30,7 @@ from qcmap import (
     linear,
     load_plan,
     parse_plan,
+    reduce_subcircuit,
     save_plan,
     search_levels,
     solve_exact,
@@ -129,6 +132,26 @@ class TestSolveExact:
     def test_state_cap(self):
         with pytest.raises(ResourceLimitError):
             solve_exact(triangle_circuit(), linear(3), state_cap=1)
+
+    def test_state_cap_below_one_rejected(self):
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="state_cap"):
+                solve_exact(triangle_circuit(), linear(3), state_cap=cap)
+            with pytest.raises(ValueError, match="state_cap"):
+                decide(triangle_circuit(), linear(3), 1, state_cap=cap)
+            with pytest.raises(ValueError, match="state_cap"):
+                solve_from(triangle_circuit(), linear(3), Placement((0, 1, 2)), state_cap=cap)
+
+    def test_five_qubits_optimum_two_on_tokyo_within_a_quarter_cap(self):
+        # Proving the optimum exhausts bucket 1, whose seeds mostly run no
+        # gate: with them skipped and their children dropped, a quarter of
+        # the default cap is enough (it used to need 524k-1M states).
+        c = gen_random_circuit(RandomCircuitSpec(5, 15, 1.0, 27))
+        g = tokyo()
+        res = solve_exact(c, g, state_cap=262_144)
+        assert res.cost == 2
+        report = verify_plan(c, g, res.plan)
+        assert report.accepted and report.swaps_used == 2
 
     def test_state_cap_counts_retained_states_not_placements(self):
         # tokyo() has P(20, 5) = 1.86M placements, more than the default
@@ -263,17 +286,22 @@ class TestNodeSymmetries:
 
 class TestSeedOrbitFilter:
     """From bucket 1 on, free seeds are filtered by the graph's own
-    automorphisms; solve_from has a fixed start and is never filtered."""
+    automorphisms; solve_from has a fixed start and is never filtered.
+    Nor is it pruned by seed dominance (``TestSeedDominance``), which the
+    free search applies too."""
 
     GRAPHS = [cycle(5), grid_square(2, 3), grid_square(3, 3), linear(5)]
+    # 4 qubits only where the fixed starts number a few hundred.
+    SIZES = [*((g, 3) for g in GRAPHS), (cycle(6), 3), (grid_square(2, 3), 4), (linear(5), 4)]
 
     def test_matches_min_over_fixed_starts(self):
         rng = random.Random(67)
-        for g in self.GRAPHS:
+        for g, qubits in self.SIZES:
             assert g.automorphisms
-            starts = [Placement(p) for p in itertools.permutations(range(g.num_nodes), 3)]
+            starts = [Placement(p)
+                      for p in itertools.permutations(range(g.num_nodes), qubits)]
             for _ in range(3):  # optima 0-3
-                c = gen_random_circuit(RandomCircuitSpec(3, rng.randrange(8, 15), 1.0,
+                c = gen_random_circuit(RandomCircuitSpec(qubits, rng.randrange(8, 15), 1.0,
                                                          rng.randrange(1000)))
                 for strict in (False, True):
                     where = (g, c, strict)
@@ -343,6 +371,89 @@ class TestSeedOrbitFilter:
         assert "automorphisms" not in vars(g)
 
 
+class TestSeedDominance:
+    """A search over all placements drops every state equal to the seed
+    state of its own placement (the full circuit reduced there) and never
+    expands a seed that runs no gate; fixed starts keep both.  Its optima
+    are checked against every fixed start in ``TestSeedOrbitFilter``."""
+
+    @staticmethod
+    def seed_state(c, placement, g):
+        return reduce_subcircuit(Subcircuit.full(c), placement, g)
+
+    def test_plan_never_passes_a_seed_state(self):
+        rng = random.Random(89)
+        for g in [grid_square(2, 3), cycle(6), linear(5), grid_square(3, 3), tokyo()]:
+            for _ in range(4):
+                c = gen_random_circuit(RandomCircuitSpec(
+                    rng.randrange(3, 5), rng.randrange(6, 14), 1.0, rng.randrange(1000)))
+                for strict in (False, True):
+                    res = solve_exact(c, g, strict=strict)
+                    placement = res.plan.initial
+                    pending = self.seed_state(c, placement, g)
+                    for a, b in res.plan.swaps:
+                        placement = placement.apply_swap(a, b)
+                        pending = reduce_subcircuit(pending, placement, g)
+                        assert pending != self.seed_state(c, placement, g), (g, c, strict)
+                    assert pending.is_empty
+
+    def test_free_frontiers_hold_no_seed_state(self):
+        from qcmap.mapper import _solve
+        c = gen_random_circuit(RandomCircuitSpec(4, 18, 1.0, 1))  # optimum 4
+        g = grid_square(3, 3)
+        full = (1 << len(c.gates)) - 1
+        for strict in (False, True):
+            seen = []
+            _solve(c, g, strict=strict, budget=None, state_cap=DEFAULT_STATE_CAP,
+                   on_level=lambda k, level, states: seen.append((level, states)))
+            assert len(seen) > 100
+            for level, states in seen:
+                for phys, mask in states:
+                    seed = self.seed_state(c, Placement(phys), g)
+                    if level == 0:
+                        assert mask == seed.mask != full, (strict, phys)
+                    else:
+                        assert mask != seed.mask, (strict, level, phys)
+
+    def test_fixed_start_keeps_seed_states(self):
+        # One gate, operands three hops apart: the start runs no gate, and
+        # each child is the seed state of its own placement.
+        g = linear(4)
+        c = Circuit.from_ops(2, [("cx", (0, 1))])
+        p0 = Placement((0, 3))
+        assert self.seed_state(c, p0, g) == Subcircuit.full(c)
+        assert solve_from(c, g, p0).cost == 2
+        levels = search_levels(c, g, p0)
+        assert levels[0] == [SearchState(p0, (descriptor(Subcircuit.full(c)),))]
+        assert any(d == descriptor(self.seed_state(c, s.placement, g))
+                   for frontier in levels[1:] for s in frontier for d in s.fragments)
+        # Strict: four qubits fill the path, so the start runs no gate.
+        c4 = Circuit.from_ops(4, [("cx", (0, 3))])
+        assert solve_from(c4, g, Placement.identity(4), strict=True).cost == 2
+        assert solve_exact(c4, g, strict=True).cost == 0
+
+    def test_free_search_never_reports_the_full_circuit(self):
+        # A fragment that is the whole circuit is the seed state of its
+        # placement: a seed that runs no gate, or a child of one.
+        c = gen_random_circuit(RandomCircuitSpec(3, 8, 1.0, 3))
+        g = cycle(5)
+        full = descriptor(Subcircuit.full(c))
+        assert any(self.seed_state(c, Placement(p), g) == Subcircuit.full(c)
+                   for p in itertools.permutations(range(5), 3))
+        assert all(full not in s.fragments for frontier in search_levels(c, g)
+                   for s in frontier)
+
+    def test_empty_circuit_seed_is_kept(self):
+        # The empty circuit runs no gate, yet its seed has finished.
+        for strict in (False, True):
+            c = Circuit.from_ops(2, [])
+            res = solve_exact(c, linear(3), strict=strict)
+            assert res.cost == 0 and verify_plan(c, linear(3), res.plan).accepted
+            assert decide(c, linear(3), 0, strict=strict)
+            (frontier,) = search_levels(c, linear(3), strict=strict)
+            assert frontier[0].fragments == (descriptor(Subcircuit.full(c)),)
+
+
 class TestInvariances:
     def test_single_qubit_gates_are_free(self):
         rng = random.Random(47)
@@ -398,7 +509,7 @@ class TestSearchLevels:
 
     def test_frontier_states_are_distinct_and_reduced(self):
         from qcmap import reduce_subcircuit, restore
-        draw = gen_random_circuit(RandomCircuitSpec(4, 14, 1.0, 0))  # optimum 3
+        draw = gen_random_circuit(RandomCircuitSpec(4, 18, 1.0, 1))  # optimum 4
         cases = [
             (triangle_circuit(), linear(4), False),
             (draw, grid_square(3, 3), False),

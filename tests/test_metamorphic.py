@@ -4,9 +4,10 @@ whose effect on the minimal SWAP count is known without computing it.
 No oracle is needed, so these reach devices and qubit counts that
 ``brute_force_g`` cannot.  Each relation changes something the seed orbit
 filter depends on: node labels change which placement leads each orbit,
-qubit labels change the backtrack order the leaders are read in, and an
-added edge changes the automorphism group.  Cases are derandomized, so
-every run checks the same instances.
+qubit labels change the backtrack order the leaders are read in, an
+added edge changes the automorphism group, and a prefix changes which
+seed placements run no gate.  Cases are derandomized, so every run
+checks the same instances.
 """
 
 from hypothesis import given, settings
@@ -78,6 +79,17 @@ def test_added_edge_never_raises_optimum(case, data):
     edge = data.draw(st.sampled_from(missing))
     denser = CouplingGraph(g.num_nodes, [*g.edges, edge])
     assert cost(c, denser, strict) <= cost(c, g, strict)
+
+
+@CASES
+@given(instances(), st.data())
+def test_prefix_never_costs_more(case, data):
+    # A plan for the whole circuit runs every gate of a prefix on the way.
+    g, c, strict = case
+    cut = data.draw(st.integers(0, len(c.gates) - 1))
+    prefix = Circuit.from_ops(c.num_qubits,
+                              [(gate.label, gate.qubits) for gate in c.gates[:cut]])
+    assert cost(prefix, g, strict) <= cost(c, g, strict)
 
 
 @CASES
