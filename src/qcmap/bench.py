@@ -116,6 +116,8 @@ def run_benchmark(qubits: int, gate_range, samples: int, seed: int, *,
     if state_cap < 1:
         raise ValueError("state_cap must be at least 1")
     nodes = qubits if graph_nodes is None else graph_nodes
+    if nodes < qubits:
+        raise ValueError(f"graph_nodes ({nodes}) must be at least qubits ({qubits})")
     gates = list(gate_range)
     workers = min(threads, os.cpu_count() or 1)
     step = -(-samples // workers)

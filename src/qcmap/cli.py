@@ -140,17 +140,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    parts = text.split(":")
+    """N, LO:HI or LO:HI:STEP, HI inclusive; STEP at least 1, and the range
+    must hold at least one gate count."""
     try:
-        nums = [int(p) for p in parts]
+        nums = [int(p) for p in text.split(":")]
     except ValueError:
-        raise ValueError(f"bad gate range {text!r}") from None
+        nums = []
     if len(nums) == 1:
         return nums
-    if len(nums) == 2:
-        return list(range(nums[0], nums[1] + 1))
-    if len(nums) == 3:
-        return list(range(nums[0], nums[1] + 1, nums[2]))
+    if len(nums) in (2, 3):
+        step = nums[2] if len(nums) == 3 else 1
+        counts = list(range(nums[0], nums[1] + 1, step)) if step >= 1 else []
+        if counts:
+            return counts
     raise ValueError(f"bad gate range {text!r}")
 
 

@@ -321,8 +321,19 @@ def aspen() -> CouplingGraph:
     return CouplingGraph.from_edge_list(16, edges)
 
 
-FAMILIES = ("linear", "cycle", "clique", "grid_square", "grid_hex", "grid_triangle",
-            "tokyo", "aspen")
+# Family name -> (generator, number of size parameters), in the order
+# the CLI lists the families.
+_GENERATORS = {
+    "linear": (linear, 1),
+    "cycle": (cycle, 1),
+    "clique": (clique, 1),
+    "grid_square": (grid_square, 2),
+    "grid_hex": (grid_hex, 2),
+    "grid_triangle": (grid_triangle, 2),
+    "tokyo": (tokyo, 0),
+    "aspen": (aspen, 0),
+}
+FAMILIES = tuple(_GENERATORS)
 
 
 def gen(family: str, *params: int) -> CouplingGraph:
@@ -331,33 +342,13 @@ def gen(family: str, *params: int) -> CouplingGraph:
     linear/cycle/clique take one size; the grids take (rows, cols);
     tokyo/aspen take no parameters.
     """
-    if family == "linear":
-        (n,) = params
-        return linear(n)
-    if family == "cycle":
-        (n,) = params
-        return cycle(n)
-    if family == "clique":
-        (n,) = params
-        return clique(n)
-    if family == "grid_square":
-        r, c = params
-        return grid_square(r, c)
-    if family == "grid_hex":
-        r, c = params
-        return grid_hex(r, c)
-    if family == "grid_triangle":
-        r, c = params
-        return grid_triangle(r, c)
-    if family == "tokyo":
-        if params:
-            raise ValueError("tokyo takes no size parameters")
-        return tokyo()
-    if family == "aspen":
-        if params:
-            raise ValueError("aspen takes no size parameters")
-        return aspen()
-    raise ValueError(f"unknown family {family!r}")
+    if family not in _GENERATORS:
+        raise ValueError(f"unknown family {family!r}")
+    make, arity = _GENERATORS[family]
+    if len(params) != arity:
+        noun = "parameter" if arity == 1 else "parameters"
+        raise ValueError(f"{family} takes {arity} size {noun}, got {len(params)}")
+    return make(*params)
 
 
 # --- text format ------------------------------------------------------------

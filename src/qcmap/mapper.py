@@ -15,7 +15,8 @@ the first finished fragment is optimal.  States wait in f-buckets, swept
 in increasing f.  Bucket K is seeded with the placements whose h is
 exactly K, found by backtracking over partial placements that keep every
 interacting pair within K+1 hops; at K = 0 that is the embedding test of
-the interaction topology.  Each seed is expanded as soon as it is
+the interaction topology.  A fixed start is the one seed of its search,
+filed in the bucket of its own h.  Each seed is expanded as soon as it is
 enumerated, and inside a bucket the deepest level goes first, so the
 bucket that holds the optimum stops at its first finished fragment.
 
@@ -207,7 +208,7 @@ class _CircuitInfo:
 
 
 def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int,
-           symmetries: tuple[tuple[int, ...], ...], start: tuple[int, ...] | None):
+           symmetries: tuple[tuple[int, ...], ...]):
     """Initial placements with h exactly k, in backtracking order.
 
     Every interacting pair lies within k+1 hops and, for k > 0, some pair
@@ -217,8 +218,7 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int,
     larger than its image under each of them; under a complete group that
     is one placement per orbit, its leader.  The test runs on every
     prefix, so no placement below a prefix that cannot lead its orbit is
-    built.  A fixed ``start`` limits each qubit to its start node, so it
-    is yielded for its own h only.
+    built.
     """
     n = graph.num_nodes
     dist = graph.distances
@@ -232,13 +232,11 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int,
     order, back, pairs = info.order, info.placed_partners, info.pairs
     # Per position, the nodes with room for all of the qubit's partners.
     fits = []
-    for i, d in enumerate(info.degree):
+    for d in info.degree:
         r = 0
         for x, near in enumerate(reach):
             if near.bit_count() >= d:
                 r |= 1 << x
-        if start is not None:
-            r &= 1 << start[order[i]]
         fits.append(r)
     num_active, num_qubits = info.num_active, len(order)
     if k and not num_active:
@@ -326,14 +324,15 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
             strict: bool, bound: int | None, state_cap: int, on_level=None):
     """The search engine: best-first over (placement, fragment) states.
 
-    Seeds come from ``_seeds``: every placement, or the fixed ``start``
-    alone.  From bucket 1 on, free seeds pass the orbit filter of
-    ``graph.automorphisms``.  Free searches skip a seed that runs no gate
-    of a non-empty circuit and drop a child equal to its placement's seed
-    state; a fixed start keeps both.  States with f above ``bound`` are
-    dropped (None: no cut).  Returns (cost, initial placement, swaps) for
-    the first finished fragment, which is optimal, or None when nothing
-    within the bound finishes.
+    A free search (``start`` None) takes its seeds from ``_seeds``, which
+    enumerates every placement bucket by bucket; from bucket 1 on, they
+    pass the orbit filter of ``graph.automorphisms``.  A fixed ``start``
+    is the one seed, filed straight into the bucket of its own h.  Free
+    searches skip a seed that runs no gate of a non-empty circuit and drop
+    a child equal to its placement's seed state; a fixed start keeps both.
+    States with f above ``bound`` are dropped (None: no cut).  Returns
+    (cost, initial placement, swaps) for the first finished fragment,
+    which is optimal, or None when nothing within the bound finishes.
 
     ``on_level(k, level, states)`` sees each frontier of bucket k, as a
     list of (placement, fragment mask) pairs, before it is expanded: every
@@ -356,21 +355,24 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     gbits = info.num_gates
     full = info.full_mask
     level_bits, level_mask = _LEVEL_BITS, _LEVEL_MASK
-    seed_max = graph.diameter - 1 if pairs else 0
     free_start = start is None
-    seed_key = full << npairs  # reduce_memo key of a seed, less its sig
+    # Buckets are swept from k on and seeded up to seed_max: a free search
+    # seeds every h a placement can have, a fixed start only the bucket of
+    # its own h, with itself as the one seed.
+    if free_start:
+        k, seed_max = 0, graph.diameter - 1 if pairs else 0
+    else:
+        k = seed_max = max([dist[start[a]][start[b]] for a, b in pairs], default=1) - 1
 
     # Interned placements, with per placement the bitmask of adjacent pairs
-    # and the code of its per-pair (hops - 1) vector.
+    # (its signature) and its seed fragment, the full circuit reduced on it.
     places: list[tuple[int, ...]] = []
     index: dict[tuple[int, ...], int] = {}
     sigs: list[int] = []
-    fcodes: list[int] = []
-    far_code: dict[tuple[int, ...], int] = {}
-    far_of: list[tuple[int, ...]] = []
-    reduce_memo: dict[int, int] = {}   # (fragment, sig) -> reduced fragment
-    pending_memo: dict[int, int] = {}  # fragment -> bitmask of its pending pairs
-    h_memo: dict[int, int] = {}        # (far code, pending pairs) -> h
+    seed_of: list[int] = []
+    reduce_memo: dict[int, int] = {}  # (fragment, sig) -> reduced fragment
+    # Fragment -> the operand pairs of its pending two-qubit gates.
+    pending_memo: dict[int, tuple[tuple[int, int], ...]] = {}
     # State key (placement index << gates | fragment) -> packed parent link
     # and lowest level reached.
     closed: dict[int, int] = {}
@@ -380,19 +382,12 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
         index[phys] = idx
         places.append(phys)
         sig = 0
-        far = []
         for pi, (a, b) in enumerate(pairs):
-            d = dist[phys[a]][phys[b]]
-            if d == 1:
+            if dist[phys[a]][phys[b]] == 1:
                 sig |= 1 << pi
-            far.append(d - 1)
         sigs.append(sig)
-        far = tuple(far)
-        code = far_code.get(far)
-        if code is None:
-            code = far_code[far] = len(far_of)
-            far_of.append(far)
-        fcodes.append(code)
+        m0 = reduce_memo.get(full << npairs | sig)
+        seed_of.append(reduce_mask(full, sig) if m0 is None else m0)
         return idx
 
     def reduce_mask(mask: int, sig: int) -> int:
@@ -418,23 +413,10 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
         reduce_memo[mask << npairs | sig] = out
         return out
 
-    def pending(mask: int) -> int:
-        pend = 0
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            pi = gate_pair[low.bit_length() - 1]
-            if pi >= 0:
-                pend |= 1 << pi
-        pending_memo[mask] = pend
+    def pending(mask: int) -> tuple[tuple[int, int], ...]:
+        pend = pending_memo[mask] = tuple({
+            pairs[pi] for i, pi in enumerate(gate_pair) if pi >= 0 and mask >> i & 1})
         return pend
-
-    def lower_bound(key: int) -> int:
-        far = far_of[key >> npairs]
-        pend = key & ((1 << npairs) - 1)
-        h = h_memo[key] = max(far[pi] for pi in range(npairs) if pend >> pi & 1)
-        return h
 
     def replay(key: int) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
         swaps: list[tuple[int, int]] = []
@@ -499,13 +481,8 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                         placement, swaps = replay(key)
                         swaps.append((p, w) if p < w else (w, p))
                         return nlevel, placement, swaps
-                    if free_start:
-                        # The seed state of nphys: starting there is cheaper.
-                        m0 = reduce_memo.get(seed_key | sig)
-                        if m0 is None:
-                            m0 = reduce_mask(full, sig)
-                        if nm == m0:
-                            continue
+                    if free_start and nm == seed_of[nidx]:
+                        continue  # the seed state of nphys: starting there is cheaper
                     nkey = nidx << gbits | nm
                     old = closed.get(nkey)
                     if old is not None and old & level_mask <= nlevel:
@@ -513,11 +490,14 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                     pend = pending_memo.get(nm)
                     if pend is None:
                         pend = pending(nm)
-                    hk = fcodes[nidx] << npairs | pend
-                    f = h_memo.get(hk)
-                    if f is None:
-                        f = lower_bound(hk)
-                    f += nlevel
+                    # f = level + h: the farthest pending pair, less one hop
+                    # (an unfinished fragment starts with a pending pair).
+                    h = 0
+                    for a, b in pend:
+                        d = dist[moved[a]][moved[b]]
+                        if d > h:
+                            h = d
+                    f = nlevel + h - 1
                     if bound is not None and f > bound:
                         continue
                     closed[nkey] = (
@@ -547,7 +527,6 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                 return found
         return None
 
-    k = 0
     while bound is None or k <= bound:
         if k > seed_max and not buckets:
             return None
@@ -555,17 +534,17 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
         # The seeds of bucket k are its level 0: each one is expanded, and
         # the bucket swept, as soon as it is enumerated.
         if k <= seed_max:
-            # Bucket 0 stops at its first seed and a fixed start is one seed,
-            # so only free seeds from bucket 1 go through the orbit filter.
-            orbit_filter = graph.automorphisms if k and start is None else ()
-            for phys in _seeds(info, graph, k, orbit_filter, start):
+            # Bucket 0 stops at its first seed, so only the free seeds from
+            # bucket 1 on go through the orbit filter.
+            if free_start:
+                seeds = _seeds(info, graph, k, graph.automorphisms if k else ())
+            else:
+                seeds = (start,)
+            for phys in seeds:
                 idx = index.get(phys)
                 if idx is None:
                     idx = intern(phys)
-                sig = sigs[idx]
-                m0 = reduce_memo.get(seed_key | sig)
-                if m0 is None:
-                    m0 = reduce_mask(full, sig)
+                m0 = seed_of[idx]
                 if m0 == full and full and free_start:
                     continue  # runs no gate: each child is another seed
                 key = idx << gbits | m0

@@ -117,7 +117,9 @@ class TestRunBenchmark:
         assert strip_time(run_benchmark(3, range(3, 7), 5, seed=2, threads=8)) == expected
         assert pools == [3, 2, 2]
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        import qcmap.bench as bench
+
         with pytest.raises(ValueError):
             run_benchmark(3, [4], 0, seed=1)
         with pytest.raises(ValueError):
@@ -125,6 +127,12 @@ class TestRunBenchmark:
         for cap in (0, -3):
             with pytest.raises(ValueError, match="state_cap"):
                 run_benchmark(3, [4], 5, seed=1, state_cap=cap)
+        # Fewer graph nodes than qubits is rejected before any solve or pool.
+        monkeypatch.setattr(bench, "_solve_chunk", None)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", None)
+        for threads in (1, 2):
+            with pytest.raises(ValueError, match="graph_nodes"):
+                run_benchmark(4, [3], 2, seed=1, graph_nodes=3, threads=threads)
 
 
 class TestCsv:

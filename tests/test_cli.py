@@ -168,6 +168,7 @@ class TestGenerators:
     def test_gen_graph_bad_params(self):
         proc = run_cli("gen-graph", "--family", "grid_square", "--params", 3)
         assert proc.returncode == 2
+        assert "grid_square takes 2 size parameters, got 1" in proc.stderr
 
 
 class TestReduce:
@@ -235,6 +236,22 @@ class TestBench:
     def test_bad_range_rejected(self):
         proc = run_cli("bench", "--qubits", 3, "--gates", "4:x", "--samples", 2)
         assert proc.returncode == 2
+
+    def test_range_without_gate_counts_rejected(self):
+        # Empty ranges and steps below 1 hold no gate count.
+        for gates in ("5:3", "3:10:-1", "3:10:0"):
+            proc = run_cli("bench", "--qubits", 3, "--gates", gates, "--samples", 2)
+            assert proc.returncode == 2, gates
+            assert f"bad gate range '{gates}'" in proc.stderr
+            assert proc.stdout == ""
+
+    def test_fewer_graph_nodes_than_qubits_exits_2(self):
+        for threads in (1, 2):
+            proc = run_cli("bench", "--qubits", 4, "--gates", 3, "--samples", 2,
+                           "--graph-nodes", 3, "--threads", threads)
+            assert proc.returncode == 2, threads
+            assert "graph_nodes (3) must be at least qubits (4)" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
 
 class TestModuleEntryPoint:

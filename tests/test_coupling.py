@@ -130,6 +130,10 @@ class TestFamilies:
             gen("moebius", 4)
         with pytest.raises(ValueError):
             gen("tokyo", 20)
+        with pytest.raises(ValueError, match="linear takes 1 size parameter, got 2"):
+            gen("linear", 4, 5)
+        with pytest.raises(ValueError, match="grid_square takes 2 size parameters, got 1"):
+            gen("grid_square", 3)
 
     def test_every_family_listed_generates(self):
         sizes = {"linear": (4,), "cycle": (5,), "clique": (4,),

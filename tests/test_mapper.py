@@ -327,8 +327,8 @@ class TestSeedOrbitFilter:
                 c = gen_random_circuit(RandomCircuitSpec(qubits, 8, 1.0, rng.randrange(1000)))
                 info = _CircuitInfo(c)
                 for k in range(1, g.diameter):
-                    every = set(_seeds(info, g, k, (), None))
-                    kept = set(_seeds(info, g, k, g.automorphisms, None))
+                    every = set(_seeds(info, g, k, ()))
+                    kept = set(_seeds(info, g, k, g.automorphisms))
                     assert kept <= every, (g, c, k)
                     orbits = {tuple(p[x] for x in s) for s in kept for p in group}
                     assert orbits == every, (g, c, k)
@@ -347,9 +347,9 @@ class TestSeedOrbitFilter:
                 c = gen_random_circuit(RandomCircuitSpec(qubits, 8, 1.0, rng.randrange(1000)))
                 info = _CircuitInfo(c)
                 for k in range(1, g.diameter):
-                    every = set(_seeds(info, g, k, (), None))
+                    every = set(_seeds(info, g, k, ()))
                     orbits = {frozenset(tuple(p[x] for x in s) for p in group) for s in every}
-                    kept = list(_seeds(info, g, k, g.automorphisms, None))
+                    kept = list(_seeds(info, g, k, g.automorphisms))
                     kept_orbits = {frozenset(tuple(p[x] for x in s) for p in group)
                                    for s in kept}
                     assert len(kept) == len(kept_orbits) == len(orbits), (g, c, k)
@@ -452,6 +452,47 @@ class TestSeedDominance:
             assert decide(c, linear(3), 0, strict=strict)
             (frontier,) = search_levels(c, linear(3), strict=strict)
             assert frontier[0].fragments == (descriptor(Subcircuit.full(c)),)
+
+
+class TestLowerBound:
+    """Every state is filed in bucket f = level + h, where h is the largest
+    hop distance, less one, between the operands of a two-qubit gate still
+    pending in its fragment (0 for an empty fragment)."""
+
+    @staticmethod
+    def bucket(c, g, phys, mask, level):
+        h = 0
+        for i, gate in enumerate(c.gates):
+            if mask >> i & 1 and len(gate.qubits) == 2:
+                a, b = gate.qubits
+                h = max(h, g.distances[phys[a]][phys[b]] - 1)
+        return level + h
+
+    def test_bucket_is_level_plus_pending_distance(self):
+        from qcmap.mapper import _solve
+        rng = random.Random(61)
+        checked = 0
+        start_buckets = set()
+        for g in (grid_square(3, 3), aspen(), linear(6)):
+            for q in (3, 4):
+                c = gen_random_circuit(RandomCircuitSpec(
+                    q, rng.randrange(10, 18), rng.choice([1.0, 0.8]), rng.randrange(1000)))
+                p0 = Placement(tuple(rng.sample(range(g.num_nodes), q)))
+                for start in (None, p0):
+                    for strict in (False, True):
+                        seen = []
+                        _solve(c, g, start=start, strict=strict, budget=None,
+                               state_cap=DEFAULT_STATE_CAP,
+                               on_level=lambda k, level, states: seen.append((k, level, states)))
+                        for k, level, states in seen:
+                            for phys, mask in states:
+                                assert k == self.bucket(c, g, phys, mask, level), (
+                                    g, c, start, strict, level, phys, mask)
+                                checked += 1
+                        if start is not None:
+                            start_buckets.add(seen[0][0])
+        assert checked > 1000, checked
+        assert len(start_buckets) > 2, start_buckets
 
 
 class TestInvariances:
