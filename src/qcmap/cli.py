@@ -26,7 +26,8 @@ from .oracle import verify_plan
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
-                   help="abort with exit code 3 beyond this many search states")
+                   help="abort with exit code 3 beyond this many recorded search "
+                        "states, or when the graph's n*n distance table is larger")
     p.add_argument("--strict-swaps", action="store_true",
                    help="only allow swaps on edges with both endpoints occupied")
 

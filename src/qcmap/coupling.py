@@ -45,19 +45,22 @@ class CouplingGraph:
     def _check_connected(self) -> None:
         # A connected graph has at least n - 1 edges; checking that first
         # keeps a bare "nodes N" header from building N neighbor lists.
-        if len(self.edges) < self.num_nodes - 1:
+        if len(self.edges) < self.num_nodes - 1 or -1 in self._bfs(0):
             raise ValueError("graph is not connected")
-        seen = {0}
-        queue = deque([0])
+
+    def _bfs(self, src: int) -> list[int]:
+        """Hop counts from node src, -1 for nodes it does not reach."""
         nbrs = self.neighbors
+        dist = [-1] * self.num_nodes
+        dist[src] = 0
+        queue = deque([src])
         while queue:
             v = queue.popleft()
             for w in nbrs[v]:
-                if w not in seen:
-                    seen.add(w)
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
                     queue.append(w)
-        if len(seen) != self.num_nodes:
-            raise ValueError("graph is not connected")
+        return dist
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -83,19 +86,7 @@ class CouplingGraph:
     @cached_property
     def distances(self) -> tuple[tuple[int, ...], ...]:
         """All-pairs hop counts via one BFS per node."""
-        rows = []
-        for src in range(self.num_nodes):
-            dist = [-1] * self.num_nodes
-            dist[src] = 0
-            queue = deque([src])
-            while queue:
-                v = queue.popleft()
-                for w in self.neighbors[v]:
-                    if dist[w] < 0:
-                        dist[w] = dist[v] + 1
-                        queue.append(w)
-            rows.append(tuple(dist))
-        return tuple(rows)
+        return tuple(tuple(self._bfs(src)) for src in range(self.num_nodes))
 
     @cached_property
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
@@ -167,18 +158,10 @@ class CouplingGraph:
         return max((len(ns) for ns in self.neighbors), default=0)
 
     def is_bipartite(self) -> bool:
-        color = [-1] * self.num_nodes
-        color[0] = 0
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in self.neighbors[v]:
-                if color[w] < 0:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False
-        return True
+        # In a connected graph an edge joins nodes at equal hop counts from
+        # node 0 or at counts one apart; only the first closes an odd cycle.
+        d = self._bfs(0)
+        return all(d[a] != d[b] for a, b in self.edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CouplingGraph):
@@ -293,22 +276,12 @@ def grid_triangle(rows: int, cols: int) -> CouplingGraph:
 
 def tokyo() -> CouplingGraph:
     """20-node device layout: a 4x5 lattice with alternating diagonal pairs."""
-    grid_rows = 4
-    grid_cols = 5
-    edges = []
-    for r in range(grid_rows):
-        for c in range(grid_cols):
-            v = r * grid_cols + c
-            if c + 1 < grid_cols:
-                edges.append((v, v + 1))
-            if r + 1 < grid_rows:
-                edges.append((v, v + grid_cols))
     diagonals = [
         (1, 7), (2, 6), (3, 9), (4, 8),
         (5, 11), (6, 10), (7, 13), (8, 12),
         (11, 17), (12, 16), (13, 19), (14, 18),
     ]
-    return CouplingGraph.from_edge_list(20, edges + diagonals)
+    return CouplingGraph.from_edge_list(20, [*grid_square(4, 5).edges, *diagonals])
 
 
 def aspen() -> CouplingGraph:

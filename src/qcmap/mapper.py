@@ -16,18 +16,20 @@ in increasing f.  Bucket K is seeded with the placements whose h is
 exactly K, found by backtracking over partial placements that keep every
 interacting pair within K+1 hops; at K = 0 that is the embedding test of
 the interaction topology.  A fixed start is the one seed of its search,
-filed in the bucket of its own h.  Each seed is expanded as soon as it is
-enumerated, and inside a bucket the deepest level goes first, so the
-bucket that holds the optimum stops at its first finished fragment.
+filed in the bucket of its own h.  Each seed is the level-0 frontier of
+its bucket, swept as soon as it is enumerated; inside a bucket the
+deepest level goes first, so the bucket that holds the optimum stops at
+its first finished fragment.
 
-The frontiers are flat lists of states.  The one duplicate check is a
-closed map that keeps the lowest level at which each (placement,
-fragment) was reached: a state is filed again only when it is reached
-lower, and a frontier entry whose state was since reached lower is
-dropped when its frontier is swept.  As f never drops along a path, a
-state is expanded at most once, at its lowest level.  The closed map
-also stores each state's parent and SWAP, which replay into the witness
-plan that independent verification checks.
+Seeds and children take one path: a new state is recorded in a closed
+map, which ``state_cap`` bounds, then returned if it is finished or else
+filed in its bucket's frontier.  The closed map keeps the lowest level
+at which each (placement, fragment) was reached and is the one duplicate
+check: a state is filed again only when it is reached lower, and a
+frontier entry whose state was since reached lower is dropped when its
+frontier is swept.  As f never drops along a path, a state is expanded
+at most once, at its lowest level.  The closed map also stores each
+state's parent and SWAP, which replay into the witness plan.
 
 A search over all placements drops seed-dominated states.  The seed
 state of a placement is that placement with the full circuit reduced on
@@ -259,16 +261,14 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int,
             elif y < x:
                 down |= 1 << x
         lowers.append(down)
-    banned: dict[int, int] = {}  # tied set -> nodes some tied symmetry maps lower
 
     def ban(tied: int) -> int:
+        """The nodes some symmetry of the tied set maps lower."""
         out = 0
-        t = tied
-        while t:
-            bit = t & -t
-            t ^= bit
+        while tied:
+            bit = tied & -tied
+            tied ^= bit
             out |= lowers[bit.bit_length() - 1]
-        banned[tied] = out
         return out
 
     pos = [0] * num_qubits
@@ -306,8 +306,7 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int,
         if symmetries:
             t = tied[i] = tied[i - 1] & fixes[x]
             if t:
-                b = banned.get(t)
-                cand &= ~(ban(t) if b is None else b)
+                cand &= ~ban(t)
         for r in back[i]:
             cand &= reach[pos[r]]
         cands[i] = cand
@@ -334,14 +333,12 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     (cost, initial placement, swaps) for the first finished fragment,
     which is optimal, or None when nothing within the bound finishes.
 
-    ``on_level(k, level, states)`` sees each frontier of bucket k, as a
-    list of (placement, fragment mask) pairs, before it is expanded: every
-    seed it expands on its own at level 0, including a seed that finished
-    (a skipped seed that runs no gate is not reported), and the frontiers
-    above level 0 in sweep order.
-
-    ``state_cap`` bounds the states the search holds at once: closed-map
-    records, frontier entries not yet swept, and a finished state.
+    A seed is swept on its own, after the frontiers that lower buckets
+    filed into its bucket.  ``on_level(k, level, states)`` sees each
+    frontier of bucket k, as a list of (placement, fragment mask) pairs,
+    just before it is expanded, a seed that finished included.
+    ``state_cap`` bounds the closed-map records: each state reached,
+    counted once however many frontier entries refer to it.
     """
     n = graph.num_nodes
     nbrs = graph.neighbors
@@ -418,37 +415,36 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
             pairs[pi] for i, pi in enumerate(gate_pair) if pi >= 0 and mask >> i & 1})
         return pend
 
-    def replay(key: int) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    def replay(key: int) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
+        """(level, initial placement, swaps) of the finished state ``key``."""
+        level = closed[key] & level_mask
         swaps: list[tuple[int, int]] = []
-        link = closed[key] >> _LEVEL_BITS
+        link = closed[key] >> level_bits
         while link:
             parent, edge = divmod(link, stride)
             swaps.append(divmod(edge, n))
             key = parent - 1
-            link = closed[key] >> _LEVEL_BITS
+            link = closed[key] >> level_bits
         swaps.reverse()
-        return places[key >> gbits], swaps
+        return level, places[key >> gbits], swaps
 
     def over_cap(where: str) -> ResourceLimitError:
         return ResourceLimitError(
-            f"search retains more than the state cap ({state_cap}) states {where}; "
+            f"search reached more than the state cap ({state_cap}) states {where}; "
             "raise it to search this instance"
         )
 
-    # f -> level -> state keys filed there, not yet swept.
+    # f -> level -> keys of the closed states filed there, not yet swept.
     buckets: dict[int, dict[int, list[int]]] = {}
-    live = 0
 
     def expand(keys: list[int], level: int):
         """Apply every SWAP that moves a qubit to each state of ``keys`` at
-        ``level``, and file the children by f at level + 1.  Returns the
-        plan of the first finished child, else None."""
-        nonlocal live
+        ``level``, record each new child at level + 1 and file it by f.
+        Returns the result of the first finished child, else None."""
         nlevel = level + 1
         for key in keys:
-            idx = key >> gbits
             m = key & full
-            phys = places[idx]
+            phys = places[key >> gbits]
             at = dict(zip(phys, range(len(phys))))
             link = (key + 1) * stride  # parent link, less the SWAP
             # Along each edge at a qubit's node; an edge between two qubits
@@ -475,12 +471,6 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                     nm = reduce_memo.get(m << npairs | sig)
                     if nm is None:
                         nm = reduce_mask(m, sig)
-                    if nm == 0:
-                        if len(closed) + live >= state_cap:
-                            raise over_cap(f"at level {nlevel}")
-                        placement, swaps = replay(key)
-                        swaps.append((p, w) if p < w else (w, p))
-                        return nlevel, placement, swaps
                     if free_start and nm == seed_of[nidx]:
                         continue  # the seed state of nphys: starting there is cheaper
                     nkey = nidx << gbits | nm
@@ -491,7 +481,8 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                     if pend is None:
                         pend = pending(nm)
                     # f = level + h: the farthest pending pair, less one hop
-                    # (an unfinished fragment starts with a pending pair).
+                    # (an unfinished fragment starts with a pending pair; a
+                    # finished one has none and is returned, not filed).
                     h = 0
                     for a, b in pend:
                         d = dist[moved[a]][moved[b]]
@@ -503,25 +494,28 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                     closed[nkey] = (
                         link + (p * n + w if p < w else w * n + p)
                     ) << level_bits | nlevel
-                    buckets.setdefault(f, {}).setdefault(nlevel, []).append(nkey)
-                    live += 1
-                    if len(closed) + live > state_cap:
+                    if len(closed) > state_cap:
                         raise over_cap(f"at level {nlevel}")
+                    if not nm:
+                        return replay(nkey)
+                    buckets.setdefault(f, {}).setdefault(nlevel, []).append(nkey)
         return None
 
     def sweep(k: int):
-        """Expand the frontiers of bucket k, deepest level first, until it
-        is empty.  Returns the plan of the first finished child, else None.
-        An entry whose state was since reached lower is dropped."""
-        nonlocal live
+        """Report and expand the frontiers of bucket k, deepest level first,
+        dropping entries whose state was since reached lower.  Returns the
+        result of a finished state, else None; only a seed is still
+        finished here, as a finished child returns when it is recorded."""
         cur = buckets[k]
         while cur:
             level = max(cur)
-            frontier = cur.pop(level)
-            live -= len(frontier)
-            keys = [key for key in frontier if closed[key] & level_mask == level]
-            if on_level is not None and keys:
+            keys = [key for key in cur.pop(level) if closed[key] & level_mask == level]
+            if not keys:
+                continue
+            if on_level is not None:
                 on_level(k, level, [(places[key >> gbits], key & full) for key in keys])
+            if not keys[0] & full:
+                return replay(keys[0])
             found = expand(keys, level)
             if found is not None:
                 return found
@@ -530,39 +524,35 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     while bound is None or k <= bound:
         if k > seed_max and not buckets:
             return None
-        buckets.setdefault(k, {})
-        # The seeds of bucket k are its level 0: each one is expanded, and
-        # the bucket swept, as soon as it is enumerated.
-        if k <= seed_max:
-            # Bucket 0 stops at its first seed, so only the free seeds from
-            # bucket 1 on go through the orbit filter.
-            if free_start:
-                seeds = _seeds(info, graph, k, graph.automorphisms if k else ())
-            else:
-                seeds = (start,)
-            for phys in seeds:
-                idx = index.get(phys)
-                if idx is None:
-                    idx = intern(phys)
-                m0 = seed_of[idx]
-                if m0 == full and full and free_start:
-                    continue  # runs no gate: each child is another seed
-                key = idx << gbits | m0
-                closed[key] = 0
-                if on_level is not None:
-                    on_level(k, 0, [(phys, m0)])
-                if m0 == 0:
-                    return 0, phys, []
-                if len(closed) + live > state_cap:
-                    raise over_cap(f"while seeding bound {k}")
-                found = expand([key], 0)
-                if found is None:
-                    found = sweep(k)
-                if found is not None:
-                    return found
+        cur = buckets.setdefault(k, {})
+        # Bucket 0 stops at its first seed, so only the free seeds from
+        # bucket 1 on go through the orbit filter.
+        if k > seed_max:
+            seeds = ()
+        elif free_start:
+            seeds = _seeds(info, graph, k, graph.automorphisms if k else ())
+        else:
+            seeds = (start,)
+        # What lower buckets filed here goes first, then each seed is the
+        # level-0 frontier of its own sweep as soon as it is enumerated.
         found = sweep(k)
         if found is not None:
             return found
+        for phys in seeds:
+            idx = index.get(phys)
+            if idx is None:
+                idx = intern(phys)
+            m0 = seed_of[idx]
+            if m0 == full and full and free_start:
+                continue  # runs no gate: each child is another seed
+            key = idx << gbits | m0
+            closed[key] = 0
+            if len(closed) > state_cap:
+                raise over_cap(f"while seeding bound {k}")
+            cur[0] = [key]
+            found = sweep(k)
+            if found is not None:
+                return found
         del buckets[k]
         k += 1
     return None
@@ -583,6 +573,8 @@ def _solve(c: Circuit, g: CouplingGraph, *, start: Placement | None = None,
 
     ``budget`` None asks for the optimum.  An integer budget keeps only
     states with f <= budget and reports cost ``inf`` when none finishes.
+    ``state_cap`` bounds the closed-map records of the search and the
+    graph's n**2 distance table, checked before the table is built.
     """
     if state_cap < 1:
         raise ValueError("state_cap must be at least 1")
@@ -592,6 +584,10 @@ def _solve(c: Circuit, g: CouplingGraph, *, start: Placement | None = None,
         p0 = start.to_physical
     if c.num_qubits > g.num_nodes:
         return MapResult(math.inf, None)
+    if g.num_nodes ** 2 > state_cap:
+        raise ResourceLimitError(
+            f"the {g.num_nodes}-node graph's distance table has more entries than "
+            f"the state cap ({state_cap}); raise it to search this instance")
     found = _search(_CircuitInfo(c), g, p0, strict=strict, bound=budget,
                     state_cap=state_cap, on_level=on_level)
     if found is None:
@@ -642,17 +638,19 @@ def search_levels(c: Circuit, g: CouplingGraph, p0: Placement | None = None, *,
     """Snapshot the frontiers the search expands, for inspection and
     invariant checks.
 
-    Entries come in search order: bucket by bucket in increasing bound f;
-    inside a bucket each seed is one entry of a single state, followed by
-    the frontiers it leads to, deepest level first.  An entry holds one
-    state per placement, with every fragment the frontier has on it; each
-    (placement, fragment) appears once.  Each entry is taken just before
-    it is expanded, so the one in which the search finished is included;
-    when the optimum is 0 it is the seed that finished, with its empty
-    fragment.  ``p0`` None seeds all placements, from bucket 1 on one per
-    orbit of the graph's automorphisms; a seed that runs no gate is then
-    neither expanded nor reported, and no state above level 0 equals the
-    seed state of its placement.
+    Entries come in search order: bucket by bucket in increasing bound f.
+    Inside a bucket the frontiers filed there from lower buckets come
+    first, then each seed as one entry of a single state followed by the
+    frontiers it leads to, each group deepest level first.  An entry holds
+    one state per placement, with every fragment the frontier has on it;
+    no state is expanded twice, so each (placement, fragment) appears in
+    one entry only.  Each entry is taken just before it is expanded, so
+    the one in which the search finished is included; when the optimum is
+    0 it is the seed that finished, with its empty fragment.  ``p0`` None
+    seeds all placements, from bucket 1 on one per orbit of the graph's
+    automorphisms; a seed that runs no gate is then neither expanded nor
+    reported, and no state above level 0 equals the seed state of its
+    placement.
     """
     collected: list[list[SearchState]] = []
 

@@ -105,13 +105,9 @@ def reduce_subcircuit(s: Subcircuit, placement: "Placement", graph: "CouplingGra
     adjacent nodes; execution repeats until nothing more can run.  One
     ascending pass suffices because precedence only points forward.
     """
+    placement.check_against(s.parent, graph)
     phys = placement.to_physical
-    if len(phys) != s.parent.num_qubits:
-        raise ValueError("placement does not cover the circuit's qubits")
     adj = graph.adjacency_masks
-    for p in phys:
-        if not 0 <= p < graph.num_nodes:
-            raise ValueError(f"placement targets node {p} outside the graph")
     preds = s.parent.predecessor_masks
     gates = s.parent.gates
     out = s.mask

@@ -61,6 +61,20 @@ class TestSolve:
         assert proc.returncode == 3
         assert "error" in proc.stderr
 
+    def test_distance_table_over_state_cap_exits_3(self, tmp_path):
+        circuit = tmp_path / "pair.qc"
+        circuit.write_text("qubits 2\ncx 0 1\n")
+        graph = tmp_path / "path.cg"
+        graph.write_text(format_graph(linear(40)))
+        for cmd in (["solve"], ["decide", "--k", 0]):
+            proc = run_cli(*cmd, "--circuit", circuit, "--graph", graph,
+                           "--state-cap", 1599)
+            assert proc.returncode == 3, cmd
+            assert "distance table" in proc.stderr
+        proc = run_cli("solve", "--circuit", circuit, "--graph", graph, "--state-cap", 1600)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "0"
+
     def test_state_cap_below_one_exits_2(self, triangle_files):
         circuit, graph = triangle_files
         for cap in (0, -3):

@@ -132,6 +132,23 @@ class TestSolveExact:
     def test_state_cap(self):
         with pytest.raises(ResourceLimitError):
             solve_exact(triangle_circuit(), linear(3), state_cap=1)
+        # The cap trips inside the search: bucket 1 of this instance
+        # records more than 10,000 states.
+        c = gen_random_circuit(RandomCircuitSpec(5, 15, 1.0, 27))
+        with pytest.raises(ResourceLimitError, match="at level 1"):
+            solve_exact(c, tokyo(), state_cap=10_000)
+
+    def test_state_cap_counts_the_distance_table(self):
+        # The graph's n**2 distance table is refused before it is built.
+        c = Circuit.from_ops(2, [("cx", (0, 1))])
+        g = linear(40)
+        for run in (lambda cap: solve_exact(c, g, state_cap=cap),
+                    lambda cap: decide(c, g, 0, state_cap=cap),
+                    lambda cap: solve_from(c, g, Placement((0, 1)), state_cap=cap)):
+            with pytest.raises(ResourceLimitError, match="distance table"):
+                run(1599)
+            assert "distances" not in vars(g)
+        assert solve_exact(c, g, state_cap=1600).cost == 0
 
     def test_state_cap_below_one_rejected(self):
         for cap in (0, -3):
@@ -558,13 +575,15 @@ class TestSearchLevels:
         ]
         checked = 0
         for c, g, strict in cases:
-            for frontier in search_levels(c, g, strict=strict):
-                states = [(s.placement, d) for s in frontier for d in s.fragments]
-                assert len(set(states)) == len(states), (c, g, strict)
-                for placement, d in states:
-                    sub = restore(c, d)
-                    assert reduce_subcircuit(sub, placement, g) == sub, (c, g, strict)
-                checked += len(states)
+            # No state is expanded twice: each appears in one frontier of
+            # its search, at most once.
+            states = [(s.placement, d) for frontier in search_levels(c, g, strict=strict)
+                      for s in frontier for d in s.fragments]
+            assert len(set(states)) == len(states), (c, g, strict)
+            for placement, d in states:
+                sub = restore(c, d)
+                assert reduce_subcircuit(sub, placement, g) == sub, (c, g, strict)
+            checked += len(states)
         assert checked > 1000, "the draw's searches expand hundreds of frontiers"
 
     def test_fixed_start_has_single_seed(self):

@@ -105,9 +105,9 @@ class TestReduce:
         assert 4 in out.remaining and 5 in out.remaining and 6 in out.remaining
 
     def test_placement_validated(self, c):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not cover the circuit's qubits"):
             reduce_subcircuit(Subcircuit.full(c), Placement((0, 1, 2)), linear(4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="targets node 9 outside the graph"):
             reduce_subcircuit(Subcircuit.full(c), Placement((0, 1, 2, 9)), linear(4))
 
 
