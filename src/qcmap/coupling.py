@@ -30,6 +30,7 @@ class CouplingGraph:
         if num_nodes < 1:
             raise ValueError("graph needs at least one node")
         self._check_connected()
+        self._within: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     @classmethod
     def from_edge_list(cls, num_nodes: int, edges) -> "CouplingGraph":
@@ -144,10 +145,40 @@ class CouplingGraph:
             cands[i] = cand
         return tuple(found)
 
+    @cached_property
+    def automorphism_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The automorphisms as bitmasks, for the mapper's orbit filter:
+        per node, the automorphisms that fix it (bit j for
+        ``automorphisms[j]``); per automorphism, the nodes it maps lower."""
+        fixes = [0] * self.num_nodes
+        lowers = []
+        for j, p in enumerate(self.automorphisms):
+            down = 0
+            for x, y in enumerate(p):
+                if y == x:
+                    fixes[x] |= 1 << j
+                elif y < x:
+                    down |= 1 << x
+            lowers.append(down)
+        return tuple(fixes), tuple(lowers)
+
+    def within(self, hops: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per node, the bitmask of the other nodes at most ``hops`` away;
+        and per count c from 0 to num_nodes, the bitmask of the nodes that
+        have at least c such nodes.  Built once per hop count."""
+        found = self._within.get(hops)
+        if found is None:
+            reach = tuple(sum(1 << w for w, d in enumerate(row) if 0 < d <= hops)
+                          for row in self.distances)
+            fits = tuple(sum(1 << x for x, near in enumerate(reach) if near.bit_count() >= c)
+                         for c in range(self.num_nodes + 1))
+            found = self._within[hops] = reach, fits
+        return found
+
     def distance(self, a: int, b: int) -> int:
         return self.distances[a][b]
 
-    @property
+    @cached_property
     def diameter(self) -> int:
         return max(max(row) for row in self.distances)
 

@@ -21,14 +21,28 @@ its bucket, swept as soon as it is enumerated; inside a bucket the
 deepest level goes first, so the bucket that holds the optimum stops at
 its first finished fragment.
 
+States are expanded partially, and a child's f is known before the child
+is built (enhanced partial expansion; Goldenberg et al., JAIR 2014).  Let
+far be the largest distance between the parent's pending pairs, taken
+after the SWAP; the child's f is L + far.  A pair 2 hops or more apart
+cannot run, so it stays pending, and reduction only removes pairs: for
+far >= 2 the child's own farthest pending pair is far hops apart.  At
+far = 1 every pending gate runs and the child has finished.  Since far
+moves by at most one per SWAP, a child's f is its parent's f plus 0, 1
+or 2.  A pass of a state in bucket K builds only the children whose f
+is K.  The state's first pass tests every SWAP, and the state is filed
+again, at its own level, in buckets K+1 and K+2 with the SWAPs to build
+there.  So no child above the optimum, or above a decide's budget, is
+ever built or recorded, and none is built twice.
+
 Seeds and children take one path: a new state is recorded in a closed
 map, which ``state_cap`` bounds, then returned if it is finished or else
 filed in its bucket's frontier.  The closed map keeps the lowest level
 at which each (placement, fragment) was reached and is the one duplicate
 check: a state is filed again only when it is reached lower, and a
 frontier entry whose state was since reached lower is dropped when its
-frontier is swept.  As f never drops along a path, a state is expanded
-at most once, at its lowest level.  The closed map also stores each
+frontier is swept.  As f never drops along a path, a state has its first
+pass at most once, at its lowest level.  The closed map also stores each
 state's parent and SWAP, which replay into the witness plan.
 
 A search over all placements drops seed-dominated states.  The seed
@@ -209,61 +223,40 @@ class _CircuitInfo:
         )
 
 
-def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int,
-           symmetries: tuple[tuple[int, ...], ...]):
+def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, orbits: bool):
     """Initial placements with h exactly k, in backtracking order.
 
     Every interacting pair lies within k+1 hops and, for k > 0, some pair
     exactly k+1 hops apart.  Partial placements that break the hop limit
-    are never extended.  With symmetries, a placement is yielded only if,
+    are never extended.  With ``orbits``, a placement is yielded only if,
     read in backtrack order (``info.order``), it is lexicographically no
-    larger than its image under each of them; under a complete group that
-    is one placement per orbit, its leader.  The test runs on every
-    prefix, so no placement below a prefix that cannot lead its orbit is
-    built.
+    larger than its image under each of ``graph.automorphisms``; under a
+    complete group that is one placement per orbit, its leader.  The test
+    runs on every prefix, so no placement below a prefix that cannot lead
+    its orbit is built.
     """
     n = graph.num_nodes
     dist = graph.distances
-    reach = []  # per node, the other nodes within k+1 hops
-    for row in dist:
-        r = 0
-        for w, d in enumerate(row):
-            if 0 < d <= k + 1:
-                r |= 1 << w
-        reach.append(r)
+    # Per node, the other nodes within k+1 hops; per backtrack position,
+    # the nodes with room for all of the qubit's partners.
+    reach, room = graph.within(k + 1)
+    fits = [room[d] for d in info.degree]
     order, back, pairs = info.order, info.placed_partners, info.pairs
-    # Per position, the nodes with room for all of the qubit's partners.
-    fits = []
-    for d in info.degree:
-        r = 0
-        for x, near in enumerate(reach):
-            if near.bit_count() >= d:
-                r |= 1 << x
-        fits.append(r)
     num_active, num_qubits = info.num_active, len(order)
     if k and not num_active:
         return  # nothing interacts: every seed has h = 0
     if not num_qubits:
         yield ()
         return
-    # The lex-leader test, with the symmetries as bits of a "tied" set: the
-    # ones that fix every node placed so far.  A tied symmetry that maps
-    # the next node lower makes the image smaller, so that node is banned;
-    # one that maps it higher can reject nothing below it, so only the
-    # symmetries fixing the node stay tied.
-    fixes = [0] * n      # per node, the symmetries that fix it
-    lowers = []          # per symmetry, the nodes it maps lower
-    for j, p in enumerate(symmetries):
-        down = 0
-        for x, y in enumerate(p):
-            if y == x:
-                fixes[x] |= 1 << j
-            elif y < x:
-                down |= 1 << x
-        lowers.append(down)
+    # The lex-leader test, with the automorphisms as bits of a "tied" set:
+    # the ones that fix every node placed so far.  A tied automorphism that
+    # maps the next node lower makes the image smaller, so that node is
+    # banned; one that maps it higher can reject nothing below it, so only
+    # the automorphisms fixing the node stay tied.
+    fixes, lowers = graph.automorphism_masks if orbits else ((), ())
 
     def ban(tied: int) -> int:
-        """The nodes some symmetry of the tied set maps lower."""
+        """The nodes some automorphism of the tied set maps lower."""
         out = 0
         while tied:
             bit = tied & -tied
@@ -279,7 +272,7 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int,
     free = [0] * (num_qubits + 1)
     tied = [0] * (num_qubits + 1)
     free[0] = (1 << n) - 1
-    tied[0] = (1 << len(symmetries)) - 1
+    tied[0] = (1 << len(lowers)) - 1
     cands[0] = free[0] & fits[0] & ~ban(tied[0])
     i = 0
     while i >= 0:
@@ -301,9 +294,9 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int,
             continue
         free[i] = free[i - 1] ^ low
         cand = free[i] & fits[i]
-        # Skipped outright without symmetries: the budget-0 embedding test
-        # runs this loop on every call and pays for each added step.
-        if symmetries:
+        # Skipped outright without automorphisms: the budget-0 embedding
+        # test runs this loop on every call and pays for each added step.
+        if lowers:
             t = tied[i] = tied[i - 1] & fixes[x]
             if t:
                 cand &= ~ban(t)
@@ -321,7 +314,8 @@ _LEVEL_MASK = (1 << _LEVEL_BITS) - 1
 
 def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | None, *,
             strict: bool, bound: int | None, state_cap: int, on_level=None):
-    """The search engine: best-first over (placement, fragment) states.
+    """The search engine: best-first over (placement, fragment) states,
+    with enhanced partial expansion.
 
     A free search (``start`` None) takes its seeds from ``_seeds``, which
     enumerates every placement bucket by bucket; from bucket 1 on, they
@@ -329,16 +323,29 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     is the one seed, filed straight into the bucket of its own h.  Free
     searches skip a seed that runs no gate of a non-empty circuit and drop
     a child equal to its placement's seed state; a fixed start keeps both.
-    States with f above ``bound`` are dropped (None: no cut).  Returns
+    States with f above ``bound`` are never built (None: no cut).  Returns
     (cost, initial placement, swaps) for the first finished fragment,
     which is optimal, or None when nothing within the bound finishes.
 
+    A frontier entry is a state and a mask of SWAP slots (qubit * max
+    degree + index of the edge among its node's neighbors); an empty mask
+    marks the state's first pass.  A pass in bucket k builds only the
+    children whose f is k.  The first pass computes every child's f from
+    the parent alone and files the state again, at its own level, in
+    buckets k+1 and k+2 with the SWAPs whose children land there; a later
+    pass builds the SWAPs of its mask.  So a state is re-filed at most
+    twice, after its one first pass, and no child above the optimum, or
+    above ``bound``, is ever built.
+
     A seed is swept on its own, after the frontiers that lower buckets
-    filed into its bucket.  ``on_level(k, level, states)`` sees each
-    frontier of bucket k, as a list of (placement, fragment mask) pairs,
-    just before it is expanded, a seed that finished included.
-    ``state_cap`` bounds the closed-map records: each state reached,
-    counted once however many frontier entries refer to it.
+    filed into its bucket.  ``on_level(k, level, states)`` sees the
+    states of each frontier of bucket k that are on their first pass, as
+    a list of (placement, fragment mask) pairs, just before they are
+    expanded, a seed that finished included; so each state is reported
+    once.  ``state_cap`` bounds the closed-map records: each state
+    reached, counted once however many frontier entries refer to it.
+    The re-filed entries are not counted, as there are at most two per
+    state passed.
     """
     n = graph.num_nodes
     nbrs = graph.neighbors
@@ -352,6 +359,11 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     gbits = info.num_gates
     full = info.full_mask
     level_bits, level_mask = _LEVEL_BITS, _LEVEL_MASK
+    # A frontier entry packs the state key above its SWAP-slot mask.
+    width = graph.max_degree()
+    nq = len(info.order)
+    nslots = nq * width
+    slot_mask = (1 << nslots) - 1
     free_start = start is None
     # Buckets are swept from k on and seeded up to seed_max: a free search
     # seeds every h a placement can have, a fixed start only the bucket of
@@ -368,8 +380,9 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     sigs: list[int] = []
     seed_of: list[int] = []
     reduce_memo: dict[int, int] = {}  # (fragment, sig) -> reduced fragment
-    # Fragment -> the operand pairs of its pending two-qubit gates.
-    pending_memo: dict[int, tuple[tuple[int, int], ...]] = {}
+    # Fragment -> the operand pairs of its pending two-qubit gates, and per
+    # qubit its partners in those pairs.
+    pending_memo: dict[int, tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]] = {}
     # State key (placement index << gates | fragment) -> packed parent link
     # and lowest level reached.
     closed: dict[int, int] = {}
@@ -410,10 +423,14 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
         reduce_memo[mask << npairs | sig] = out
         return out
 
-    def pending(mask: int) -> tuple[tuple[int, int], ...]:
-        pend = pending_memo[mask] = tuple({
-            pairs[pi] for i, pi in enumerate(gate_pair) if pi >= 0 and mask >> i & 1})
-        return pend
+    def pending(mask: int):
+        pend = tuple({pairs[pi] for i, pi in enumerate(gate_pair) if pi >= 0 and mask >> i & 1})
+        partners: list[list[int]] = [[] for _ in range(nq)]
+        for a, b in pend:
+            partners[a].append(b)
+            partners[b].append(a)
+        found = pending_memo[mask] = pend, tuple(map(tuple, partners))
+        return found
 
     def replay(key: int) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
         """(level, initial placement, swaps) of the finished state ``key``."""
@@ -434,89 +451,144 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
             "raise it to search this instance"
         )
 
-    # f -> level -> keys of the closed states filed there, not yet swept.
+    # f -> level -> frontier entries filed there, not yet swept.
     buckets: dict[int, dict[int, list[int]]] = {}
 
-    def expand(keys: list[int], level: int):
-        """Apply every SWAP that moves a qubit to each state of ``keys`` at
-        ``level``, record each new child at level + 1 and file it by f.
-        Returns the result of the first finished child, else None."""
+    def expand(entries: list[int], level: int, k: int):
+        """Pass each state of ``entries``, all at ``level`` in bucket k:
+        build the children whose f is k, record each new one at level + 1
+        and file it in bucket k.  A first pass takes each child's f as
+        level + far, which the module docstring shows exact, and files
+        the state again in buckets k+1 and k+2 with the SWAPs whose
+        children land there.  Returns the result of the first finished
+        child, else None."""
         nlevel = level + 1
-        for key in keys:
+        target = k - level  # the far of a child in bucket k
+        top = target + 1  # the parent's own far
+        children = buckets[k].setdefault(nlevel, [])
+        # The frontiers at level of buckets k+1 and k+2, unless above bound.
+        up1 = [] if bound is None or k + 1 <= bound else None
+        up2 = [] if bound is None or k + 2 <= bound else None
+        for entry in entries:
+            key = entry >> nslots
+            todo = entry & slot_mask
             m = key & full
             phys = places[key >> gbits]
-            at = dict(zip(phys, range(len(phys))))
-            link = (key + 1) * stride  # parent link, less the SWAP
-            # Along each edge at a qubit's node; an edge between two qubits
-            # is taken from its lower end.
-            for i, p in enumerate(phys):
-                for w in nbrs[p]:
-                    j = at.get(w)
-                    if j is None:
-                        if strict:
+            if not todo:
+                at = dict(zip(phys, range(len(phys))))
+                pend = pending_memo.get(m)
+                if pend is None:
+                    pend = pending(m)
+                pend, partners = pend
+                # The parent's farthest pairs, top hops apart, counted per
+                # qubit: a SWAP lowers far only if it moves a qubit of each.
+                tops = [0] * nq
+                ntop = 0
+                for a, b in pend:
+                    if dist[phys[a]][phys[b]] == top:
+                        ntop += 1
+                        tops[a] += 1
+                        tops[b] += 1
+                # The slots of the SWAPs whose children land in bucket k,
+                # k+1 and k+2.  Along each edge at a qubit's node; an edge
+                # between two qubits is taken from its lower end.  Only the
+                # pairs at a moved qubit change, so far is the largest of
+                # them, or top if that is smaller and some farthest pair did
+                # not move.  (A pair of the two moved qubits stays one hop
+                # apart and reads 0 here, which changes no outcome.)
+                next1 = next2 = 0
+                for i, p in enumerate(phys):
+                    mine = partners[i]
+                    for e, w in enumerate(nbrs[p]):
+                        j = at.get(w)
+                        if j is None:
+                            if strict:
+                                continue
+                            covered = tops[i] == ntop
+                        elif w < p:
                             continue
-                        moved = list(phys)
-                        moved[i] = w
-                    elif w < p:
-                        continue
-                    else:
-                        moved = list(phys)
-                        moved[i] = w
-                        moved[j] = p
-                    nphys = tuple(moved)
-                    nidx = index.get(nphys)
-                    if nidx is None:
-                        nidx = intern(nphys)
-                    sig = sigs[nidx]
-                    nm = reduce_memo.get(m << npairs | sig)
-                    if nm is None:
-                        nm = reduce_mask(m, sig)
-                    if free_start and nm == seed_of[nidx]:
-                        continue  # the seed state of nphys: starting there is cheaper
-                    nkey = nidx << gbits | nm
-                    old = closed.get(nkey)
-                    if old is not None and old & level_mask <= nlevel:
-                        continue
-                    pend = pending_memo.get(nm)
-                    if pend is None:
-                        pend = pending(nm)
-                    # f = level + h: the farthest pending pair, less one hop
-                    # (an unfinished fragment starts with a pending pair; a
-                    # finished one has none and is returned, not filed).
-                    h = 0
-                    for a, b in pend:
-                        d = dist[moved[a]][moved[b]]
-                        if d > h:
-                            h = d
-                    f = nlevel + h - 1
-                    if bound is not None and f > bound:
-                        continue
-                    closed[nkey] = (
-                        link + (p * n + w if p < w else w * n + p)
-                    ) << level_bits | nlevel
-                    if len(closed) > state_cap:
-                        raise over_cap(f"at level {nlevel}")
-                    if not nm:
-                        return replay(nkey)
-                    buckets.setdefault(f, {}).setdefault(nlevel, []).append(nkey)
+                        else:
+                            covered = tops[i] + tops[j] == ntop
+                        far = 0
+                        row = dist[w]
+                        for x in mine:
+                            d = row[phys[x]]
+                            if d > far:
+                                far = d
+                        if j is not None:
+                            row = dist[p]
+                            for x in partners[j]:
+                                d = row[phys[x]]
+                                if d > far:
+                                    far = d
+                        if far > top:
+                            next2 |= 1 << i * width + e
+                        elif covered and far < top:
+                            todo |= 1 << i * width + e
+                        else:
+                            next1 |= 1 << i * width + e
+                if next1 and up1 is not None:
+                    up1.append(key << nslots | next1)
+                if next2 and up2 is not None:
+                    up2.append(key << nslots | next2)
+            link = (key + 1) * stride  # parent link, less the SWAP
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                i, e = divmod(low.bit_length() - 1, width)
+                p = phys[i]
+                w = nbrs[p][e]
+                moved = list(phys)
+                if w in moved:
+                    moved[moved.index(w)] = p
+                moved[i] = w
+                nphys = tuple(moved)
+                nidx = index.get(nphys)
+                if nidx is None:
+                    nidx = intern(nphys)
+                sig = sigs[nidx]
+                nm = reduce_memo.get(m << npairs | sig)
+                if nm is None:
+                    nm = reduce_mask(m, sig)
+                if free_start and nm == seed_of[nidx]:
+                    continue  # the seed state of nphys: starting there is cheaper
+                nkey = nidx << gbits | nm
+                old = closed.get(nkey)
+                if old is not None and old & level_mask <= nlevel:
+                    continue
+                closed[nkey] = (
+                    link + (p * n + w if p < w else w * n + p)
+                ) << level_bits | nlevel
+                if len(closed) > state_cap:
+                    raise over_cap(f"at level {nlevel}")
+                if not nm:
+                    return replay(nkey)
+                children.append(nkey << nslots)
+        if up1:
+            buckets.setdefault(k + 1, {}).setdefault(level, []).extend(up1)
+        if up2:
+            buckets.setdefault(k + 2, {}).setdefault(level, []).extend(up2)
         return None
 
     def sweep(k: int):
-        """Report and expand the frontiers of bucket k, deepest level first,
-        dropping entries whose state was since reached lower.  Returns the
-        result of a finished state, else None; only a seed is still
-        finished here, as a finished child returns when it is recorded."""
+        """Pass the frontiers of bucket k, deepest level first, dropping
+        entries whose state was since reached lower, and report the states
+        on their first pass.  Returns the result of a finished state, else
+        None; only a seed is still finished here, as a finished child
+        returns when it is recorded."""
         cur = buckets[k]
         while cur:
             level = max(cur)
-            keys = [key for key in cur.pop(level) if closed[key] & level_mask == level]
-            if not keys:
+            entries = [e for e in cur.pop(level) if closed[e >> nslots] & level_mask == level]
+            if not entries:
                 continue
             if on_level is not None:
-                on_level(k, level, [(places[key >> gbits], key & full) for key in keys])
-            if not keys[0] & full:
-                return replay(keys[0])
-            found = expand(keys, level)
+                first = [e >> nslots for e in entries if not e & slot_mask]
+                if first:
+                    on_level(k, level, [(places[key >> gbits], key & full) for key in first])
+            if not entries[0] >> nslots & full:
+                return replay(entries[0] >> nslots)
+            found = expand(entries, level, k)
             if found is not None:
                 return found
         return None
@@ -530,7 +602,7 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
         if k > seed_max:
             seeds = ()
         elif free_start:
-            seeds = _seeds(info, graph, k, graph.automorphisms if k else ())
+            seeds = _seeds(info, graph, k, k > 0)
         else:
             seeds = (start,)
         # What lower buckets filed here goes first, then each seed is the
@@ -549,7 +621,7 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
             closed[key] = 0
             if len(closed) > state_cap:
                 raise over_cap(f"while seeding bound {k}")
-            cur[0] = [key]
+            cur[0] = [key << nslots]
             found = sweep(k)
             if found is not None:
                 return found
@@ -642,11 +714,13 @@ def search_levels(c: Circuit, g: CouplingGraph, p0: Placement | None = None, *,
     Inside a bucket the frontiers filed there from lower buckets come
     first, then each seed as one entry of a single state followed by the
     frontiers it leads to, each group deepest level first.  An entry holds
-    one state per placement, with every fragment the frontier has on it;
-    no state is expanded twice, so each (placement, fragment) appears in
-    one entry only.  Each entry is taken just before it is expanded, so
-    the one in which the search finished is included; when the optimum is
-    0 it is the seed that finished, with its empty fragment.  ``p0`` None
+    one state per placement, with every fragment the frontier has on it.
+    A state is reported at its first pass only, in the bucket of its own
+    f, not when it is passed again to build children of higher f; so
+    each (placement, fragment) appears in one entry only.  Each entry is
+    taken just before it is expanded, so the one in which the search
+    finished is included; when the optimum is 0 it is the seed that
+    finished, with its empty fragment.  ``p0`` None
     seeds all placements, from bucket 1 on one per orbit of the graph's
     automorphisms; a seed that runs no gate is then neither expanded nor
     reported, and no state above level 0 equals the seed state of its

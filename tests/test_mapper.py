@@ -133,10 +133,24 @@ class TestSolveExact:
         with pytest.raises(ResourceLimitError):
             solve_exact(triangle_circuit(), linear(3), state_cap=1)
         # The cap trips inside the search: bucket 1 of this instance
-        # records more than 10,000 states.
+        # records more than 20,000 states (at 10,000 the cap trips while
+        # bucket 1 is still being seeded).
         c = gen_random_circuit(RandomCircuitSpec(5, 15, 1.0, 27))
         with pytest.raises(ResourceLimitError, match="at level 1"):
-            solve_exact(c, tokyo(), state_cap=10_000)
+            solve_exact(c, tokyo(), state_cap=20_000)
+
+    def test_nothing_above_the_optimum_is_recorded(self):
+        # Only children in the bucket being swept are built, so the
+        # optimum of this instance is proved with about 26k records; a
+        # search that records every child it generates needs about 116k.
+        c = gen_random_circuit(RandomCircuitSpec(6, 15, 1.0, 1))
+        g = aspen()
+        res = solve_exact(c, g, state_cap=40_000)
+        assert res.cost == 4
+        report = verify_plan(c, g, res.plan)
+        assert report.accepted and report.swaps_used == 4
+        assert decide(c, g, 4, state_cap=40_000)
+        assert not decide(c, g, 3, state_cap=40_000)
 
     def test_state_cap_counts_the_distance_table(self):
         # The graph's n**2 distance table is refused before it is built.
@@ -344,8 +358,8 @@ class TestSeedOrbitFilter:
                 c = gen_random_circuit(RandomCircuitSpec(qubits, 8, 1.0, rng.randrange(1000)))
                 info = _CircuitInfo(c)
                 for k in range(1, g.diameter):
-                    every = set(_seeds(info, g, k, ()))
-                    kept = set(_seeds(info, g, k, g.automorphisms))
+                    every = set(_seeds(info, g, k, False))
+                    kept = set(_seeds(info, g, k, True))
                     assert kept <= every, (g, c, k)
                     orbits = {tuple(p[x] for x in s) for s in kept for p in group}
                     assert orbits == every, (g, c, k)
@@ -364,9 +378,9 @@ class TestSeedOrbitFilter:
                 c = gen_random_circuit(RandomCircuitSpec(qubits, 8, 1.0, rng.randrange(1000)))
                 info = _CircuitInfo(c)
                 for k in range(1, g.diameter):
-                    every = set(_seeds(info, g, k, ()))
+                    every = set(_seeds(info, g, k, False))
                     orbits = {frozenset(tuple(p[x] for x in s) for p in group) for s in every}
-                    kept = list(_seeds(info, g, k, g.automorphisms))
+                    kept = list(_seeds(info, g, k, True))
                     kept_orbits = {frozenset(tuple(p[x] for x in s) for p in group)
                                    for s in kept}
                     assert len(kept) == len(kept_orbits) == len(orbits), (g, c, k)
@@ -510,6 +524,55 @@ class TestLowerBound:
                             start_buckets.add(seen[0][0])
         assert checked > 1000, checked
         assert len(start_buckets) > 2, start_buckets
+
+
+class TestChildBound:
+    """The search files a child by an f computed from its parent alone,
+    before the child is built: far, the largest distance between the
+    parent's pending pairs at the placement after the SWAP.  The child's
+    f, level + 1 + h of its own reduced fragment, must be level + far."""
+
+    @staticmethod
+    def far(c, g, phys, mask):
+        return max((g.distances[phys[a]][phys[b]]
+                    for i, gate in enumerate(c.gates)
+                    if mask >> i & 1 and len(gate.qubits) == 2
+                    for a, b in (gate.qubits,)), default=0)
+
+    def test_parent_far_is_child_f(self):
+        rng = random.Random(97)
+        checked = finished = 0
+        for g in (grid_square(3, 3), aspen(), linear(6), tokyo()):
+            for strict in (False, True):
+                for _ in range(10):
+                    c = gen_random_circuit(RandomCircuitSpec(
+                        rng.randrange(3, 6), rng.randrange(8, 16), 1.0, rng.randrange(1000)))
+                    placement = Placement(tuple(rng.sample(range(g.num_nodes), c.num_qubits)))
+                    sub = reduce_subcircuit(Subcircuit.full(c), placement, g)
+                    # A seed state, then a random walk from it.
+                    for _step in range(6):
+                        if sub.is_empty:
+                            break
+                        phys = placement.to_physical
+                        parent_far = self.far(c, g, phys, sub.mask)
+                        children = []
+                        for a, b in g.sorted_edges:
+                            if (a in phys) + (b in phys) < (2 if strict else 1):
+                                continue
+                            moved = placement.apply_swap(a, b)
+                            child = reduce_subcircuit(sub, moved, g)
+                            far = self.far(c, g, moved.to_physical, sub.mask)
+                            h = max(self.far(c, g, moved.to_physical, child.mask) - 1, 0)
+                            assert far == 1 + h, (g, c, strict, phys, (a, b))
+                            assert (far == 1) == child.is_empty, (g, c, strict, phys, (a, b))
+                            assert 0 <= far - parent_far + 1 <= 2, (g, c, strict, phys, (a, b))
+                            children.append((moved, child))
+                            checked += 1
+                            finished += child.is_empty
+                        if not children:
+                            break
+                        placement, sub = rng.choice(children)
+        assert checked > 2000 and finished > 10, (checked, finished)
 
 
 class TestInvariances:

@@ -7,9 +7,11 @@ filter depends on: node labels change which placement leads each orbit,
 qubit labels change the backtrack order the leaders are read in, an
 added edge changes the automorphism group, and a prefix changes which
 seed placements run no gate.  Cases are derandomized, so every run
-checks the same instances.
+checks the same instances; reversal is also checked on three fixed
+instances of the hard 5-6 qubit strata.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,14 +94,30 @@ def test_prefix_never_costs_more(case, data):
     assert cost(prefix, g, strict) <= cost(c, g, strict)
 
 
+def reversed_circuit(c):
+    return Circuit.from_ops(c.num_qubits,
+                            [(gate.label, gate.qubits) for gate in reversed(c.gates)])
+
+
 @CASES
 @given(instances())
 def test_reversed_circuit_keeps_optimum(case):
     # A plan replays backwards from its final placement.
     g, c, strict = case
-    reversed_c = Circuit.from_ops(c.num_qubits,
-                                  [(gate.label, gate.qubits) for gate in reversed(c.gates)])
-    assert cost(reversed_c, g, strict) == cost(c, g, strict)
+    assert cost(reversed_circuit(c), g, strict) == cost(c, g, strict)
+
+
+# Hard strata: 5-6 qubits, where the search records tens of thousands of
+# states and no oracle reaches.  Each pair takes 0.3-2.5 s.
+@pytest.mark.parametrize("g, spec, opt", [
+    (tokyo(), RandomCircuitSpec(5, 15, 1.0, 27), 2),
+    (aspen(), RandomCircuitSpec(6, 15, 1.0, 1), 4),
+    (grid_square(3, 3), RandomCircuitSpec(6, 14, 1.0, 1), 3),
+], ids=["tokyo-q5", "aspen-q6", "grid33-q6"])
+def test_reversal_keeps_optimum_on_hard_strata(g, spec, opt):
+    c = gen_random_circuit(spec)
+    assert cost(c, g, False) == opt
+    assert cost(reversed_circuit(c), g, False) == opt
 
 
 @CASES
