@@ -17,9 +17,9 @@ exactly K, found by backtracking over partial placements that keep every
 interacting pair within K+1 hops; at K = 0 that is the embedding test of
 the interaction topology.  A fixed start is the one seed of its search,
 filed in the bucket of its own h.  Each seed is the level-0 frontier of
-its bucket, swept as soon as it is enumerated; inside a bucket the
-deepest level goes first, so the bucket that holds the optimum stops at
-its first finished fragment.
+its bucket, swept as soon as it is enumerated; inside a bucket states
+are passed one at a time, deepest level first, so the bucket that holds
+the optimum stops at its first finished fragment.
 
 States are expanded partially, and a child's f is known before the child
 is built (enhanced partial expansion; Goldenberg et al., JAIR 2014).  Let
@@ -37,13 +37,18 @@ ever built or recorded, and none is built twice.
 
 Seeds and children take one path: a new state is recorded in a closed
 map, which ``state_cap`` bounds, then returned if it is finished or else
-filed in its bucket's frontier.  The closed map keeps the lowest level
-at which each (placement, fragment) was reached and is the one duplicate
-check: a state is filed again only when it is reached lower, and a
-frontier entry whose state was since reached lower is dropped when its
-frontier is swept.  As f never drops along a path, a state has its first
-pass at most once, at its lowest level.  The closed map also stores each
-state's parent and SWAP, which replay into the witness plan.
+filed in its bucket's frontier.  The closed map is written once per
+(placement, fragment) and is the one duplicate check: a state already
+in it is never filed again.  That is exact because a state's first
+record is at its lowest level.  h depends on the state alone, so in
+bucket K a state can sit at level K - h only; a child is built only in
+the bucket of its own f, and buckets are swept in increasing f, so a
+state first recorded in bucket K is never reached lower later.  Seeds
+sit at level 0, and no child equals a seed (seed dominance, below; a
+fixed start is the one level-0 state of its search).  So any order
+inside a bucket is exact: every finished state in bucket K costs K.
+The closed map stores each state's parent and SWAP, which replay into
+the witness plan; the number of SWAPs replayed is the level.
 
 A search over all placements drops seed-dominated states.  The seed
 state of a placement is that placement with the full circuit reduced on
@@ -305,11 +310,8 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, orbits: bool):
         cands[i] = cand
 
 
-# A closed-map value packs the parent link above the level: (parent key
-# + 1) * nodes**2 + a * nodes + b for the SWAP on edge (a, b), a < b, and
-# 0 for a seed.
-_LEVEL_BITS = 32
-_LEVEL_MASK = (1 << _LEVEL_BITS) - 1
+# A closed-map value is the parent link: (parent key + 1) * nodes**2 +
+# a * nodes + b for the SWAP on edge (a, b), a < b, and 0 for a seed.
 
 
 def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | None, *,
@@ -337,15 +339,17 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     twice, after its one first pass, and no child above the optimum, or
     above ``bound``, is ever built.
 
-    A seed is swept on its own, after the frontiers that lower buckets
-    filed into its bucket.  ``on_level(k, level, states)`` sees the
-    states of each frontier of bucket k that are on their first pass, as
-    a list of (placement, fragment mask) pairs, just before they are
-    expanded, a seed that finished included; so each state is reported
-    once.  ``state_cap`` bounds the closed-map records: each state
-    reached, counted once however many frontier entries refer to it.
-    The re-filed entries are not counted, as there are at most two per
-    state passed.
+    A bucket is swept one entry at a time, always from its deepest level,
+    so a state's children are passed before its siblings; the closed map
+    is written once per state, which the module docstring shows exact.  A
+    seed is swept on its own, after the entries that lower buckets filed
+    into its bucket.  ``on_level(k, level, states)`` sees each state of
+    bucket k on its first pass, alone, as a one-element list of
+    (placement, fragment mask), just before it is expanded, a seed that
+    finished included; so each state is reported once.  ``state_cap``
+    bounds the closed-map records: each state reached, counted once
+    however many frontier entries refer to it.  The re-filed entries are
+    not counted, as there are at most two per state passed.
     """
     n = graph.num_nodes
     nbrs = graph.neighbors
@@ -358,7 +362,6 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     gate_pair = info.gate_pair
     gbits = info.num_gates
     full = info.full_mask
-    level_bits, level_mask = _LEVEL_BITS, _LEVEL_MASK
     # A frontier entry packs the state key above its SWAP-slot mask.
     width = graph.max_degree()
     nq = len(info.order)
@@ -383,8 +386,7 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     # Fragment -> the operand pairs of its pending two-qubit gates, and per
     # qubit its partners in those pairs.
     pending_memo: dict[int, tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]] = {}
-    # State key (placement index << gates | fragment) -> packed parent link
-    # and lowest level reached.
+    # State key (placement index << gates | fragment) -> parent link.
     closed: dict[int, int] = {}
 
     def intern(phys: tuple[int, ...]) -> int:
@@ -434,16 +436,15 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
 
     def replay(key: int) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
         """(level, initial placement, swaps) of the finished state ``key``."""
-        level = closed[key] & level_mask
         swaps: list[tuple[int, int]] = []
-        link = closed[key] >> level_bits
+        link = closed[key]
         while link:
             parent, edge = divmod(link, stride)
             swaps.append(divmod(edge, n))
             key = parent - 1
-            link = closed[key] >> level_bits
+            link = closed[key]
         swaps.reverse()
-        return level, places[key >> gbits], swaps
+        return len(swaps), places[key >> gbits], swaps
 
     def over_cap(where: str) -> ResourceLimitError:
         return ResourceLimitError(
@@ -454,141 +455,130 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     # f -> level -> frontier entries filed there, not yet swept.
     buckets: dict[int, dict[int, list[int]]] = {}
 
-    def expand(entries: list[int], level: int, k: int):
-        """Pass each state of ``entries``, all at ``level`` in bucket k:
-        build the children whose f is k, record each new one at level + 1
-        and file it in bucket k.  A first pass takes each child's f as
-        level + far, which the module docstring shows exact, and files
-        the state again in buckets k+1 and k+2 with the SWAPs whose
-        children land there.  Returns the result of the first finished
-        child, else None."""
-        nlevel = level + 1
-        target = k - level  # the far of a child in bucket k
-        top = target + 1  # the parent's own far
-        children = buckets[k].setdefault(nlevel, [])
-        # The frontiers at level of buckets k+1 and k+2, unless above bound.
-        up1 = [] if bound is None or k + 1 <= bound else None
-        up2 = [] if bound is None or k + 2 <= bound else None
-        for entry in entries:
-            key = entry >> nslots
-            todo = entry & slot_mask
-            m = key & full
-            phys = places[key >> gbits]
-            if not todo:
-                at = dict(zip(phys, range(len(phys))))
-                pend = pending_memo.get(m)
-                if pend is None:
-                    pend = pending(m)
-                pend, partners = pend
-                # The parent's farthest pairs, top hops apart, counted per
-                # qubit: a SWAP lowers far only if it moves a qubit of each.
-                tops = [0] * nq
-                ntop = 0
-                for a, b in pend:
-                    if dist[phys[a]][phys[b]] == top:
-                        ntop += 1
-                        tops[a] += 1
-                        tops[b] += 1
-                # The slots of the SWAPs whose children land in bucket k,
-                # k+1 and k+2.  Along each edge at a qubit's node; an edge
-                # between two qubits is taken from its lower end.  Only the
-                # pairs at a moved qubit change, so far is the largest of
-                # them, or top if that is smaller and some farthest pair did
-                # not move.  (A pair of the two moved qubits stays one hop
-                # apart and reads 0 here, which changes no outcome.)
-                next1 = next2 = 0
-                for i, p in enumerate(phys):
-                    mine = partners[i]
-                    for e, w in enumerate(nbrs[p]):
-                        j = at.get(w)
-                        if j is None:
-                            if strict:
-                                continue
-                            covered = tops[i] == ntop
-                        elif w < p:
+    def expand(entry: int, level: int, k: int):
+        """Pass the state of ``entry``, at ``level`` in bucket k: build the
+        children whose f is k, record each new one and file it at level + 1
+        of bucket k.  A first pass takes each child's f as level + far,
+        which the module docstring shows exact, and files the state again
+        in buckets k+1 and k+2 with the SWAPs whose children land there.
+        Returns the result of the first finished child, else None."""
+        key = entry >> nslots
+        todo = entry & slot_mask
+        m = key & full
+        phys = places[key >> gbits]
+        if not todo:
+            top = k - level + 1  # the parent's own far
+            at = dict(zip(phys, range(len(phys))))
+            pend = pending_memo.get(m)
+            if pend is None:
+                pend = pending(m)
+            pend, partners = pend
+            # The parent's farthest pairs, top hops apart, counted per
+            # qubit: a SWAP lowers far only if it moves a qubit of each.
+            tops = [0] * nq
+            ntop = 0
+            for a, b in pend:
+                if dist[phys[a]][phys[b]] == top:
+                    ntop += 1
+                    tops[a] += 1
+                    tops[b] += 1
+            # The slots of the SWAPs whose children land in bucket k, k+1
+            # and k+2.  Along each edge at a qubit's node; an edge between
+            # two qubits is taken from its lower end.  Only the pairs at a
+            # moved qubit change, so far is the largest of them, or top if
+            # that is smaller and some farthest pair did not move.  (A pair
+            # of the two moved qubits stays one hop apart and reads 0 here,
+            # which changes no outcome.)
+            next1 = next2 = 0
+            for i, p in enumerate(phys):
+                mine = partners[i]
+                for e, w in enumerate(nbrs[p]):
+                    j = at.get(w)
+                    if j is None:
+                        if strict:
                             continue
-                        else:
-                            covered = tops[i] + tops[j] == ntop
-                        far = 0
-                        row = dist[w]
-                        for x in mine:
+                        covered = tops[i] == ntop
+                    elif w < p:
+                        continue
+                    else:
+                        covered = tops[i] + tops[j] == ntop
+                    far = 0
+                    row = dist[w]
+                    for x in mine:
+                        d = row[phys[x]]
+                        if d > far:
+                            far = d
+                    if j is not None:
+                        row = dist[p]
+                        for x in partners[j]:
                             d = row[phys[x]]
                             if d > far:
                                 far = d
-                        if j is not None:
-                            row = dist[p]
-                            for x in partners[j]:
-                                d = row[phys[x]]
-                                if d > far:
-                                    far = d
-                        if far > top:
-                            next2 |= 1 << i * width + e
-                        elif covered and far < top:
-                            todo |= 1 << i * width + e
-                        else:
-                            next1 |= 1 << i * width + e
-                if next1 and up1 is not None:
-                    up1.append(key << nslots | next1)
-                if next2 and up2 is not None:
-                    up2.append(key << nslots | next2)
-            link = (key + 1) * stride  # parent link, less the SWAP
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                i, e = divmod(low.bit_length() - 1, width)
-                p = phys[i]
-                w = nbrs[p][e]
-                moved = list(phys)
-                if w in moved:
-                    moved[moved.index(w)] = p
-                moved[i] = w
-                nphys = tuple(moved)
-                nidx = index.get(nphys)
-                if nidx is None:
-                    nidx = intern(nphys)
-                sig = sigs[nidx]
-                nm = reduce_memo.get(m << npairs | sig)
-                if nm is None:
-                    nm = reduce_mask(m, sig)
-                if free_start and nm == seed_of[nidx]:
-                    continue  # the seed state of nphys: starting there is cheaper
-                nkey = nidx << gbits | nm
-                old = closed.get(nkey)
-                if old is not None and old & level_mask <= nlevel:
-                    continue
-                closed[nkey] = (
-                    link + (p * n + w if p < w else w * n + p)
-                ) << level_bits | nlevel
-                if len(closed) > state_cap:
-                    raise over_cap(f"at level {nlevel}")
-                if not nm:
-                    return replay(nkey)
-                children.append(nkey << nslots)
-        if up1:
-            buckets.setdefault(k + 1, {}).setdefault(level, []).extend(up1)
-        if up2:
-            buckets.setdefault(k + 2, {}).setdefault(level, []).extend(up2)
+                    if far > top:
+                        next2 |= 1 << i * width + e
+                    elif covered and far < top:
+                        todo |= 1 << i * width + e
+                    else:
+                        next1 |= 1 << i * width + e
+            # Filed at level in buckets k+1 and k+2, unless above bound.
+            if next1 and (bound is None or k + 1 <= bound):
+                buckets.setdefault(k + 1, {}).setdefault(level, []).append(key << nslots | next1)
+            if next2 and (bound is None or k + 2 <= bound):
+                buckets.setdefault(k + 2, {}).setdefault(level, []).append(key << nslots | next2)
+        link = (key + 1) * stride  # parent link, less the SWAP
+        children = []
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            i, e = divmod(low.bit_length() - 1, width)
+            p = phys[i]
+            w = nbrs[p][e]
+            moved = list(phys)
+            if w in moved:
+                moved[moved.index(w)] = p
+            moved[i] = w
+            nphys = tuple(moved)
+            nidx = index.get(nphys)
+            if nidx is None:
+                nidx = intern(nphys)
+            sig = sigs[nidx]
+            nm = reduce_memo.get(m << npairs | sig)
+            if nm is None:
+                nm = reduce_mask(m, sig)
+            if free_start and nm == seed_of[nidx]:
+                continue  # the seed state of nphys: starting there is cheaper
+            nkey = nidx << gbits | nm
+            if nkey in closed:
+                continue
+            closed[nkey] = link + (p * n + w if p < w else w * n + p)
+            if len(closed) > state_cap:
+                raise over_cap(f"at level {level + 1}")
+            if not nm:
+                return replay(nkey)
+            children.append(nkey << nslots)
+        if children:
+            buckets[k].setdefault(level + 1, []).extend(children)
         return None
 
     def sweep(k: int):
-        """Pass the frontiers of bucket k, deepest level first, dropping
-        entries whose state was since reached lower, and report the states
-        on their first pass.  Returns the result of a finished state, else
-        None; only a seed is still finished here, as a finished child
-        returns when it is recorded."""
+        """Pass the entries of bucket k one at a time, each from the deepest
+        level, and report each state on its first pass.  Returns the result
+        of a finished state, else None; only a seed is still finished here,
+        as a finished child returns when it is recorded."""
         cur = buckets[k]
         while cur:
             level = max(cur)
-            entries = [e for e in cur.pop(level) if closed[e >> nslots] & level_mask == level]
+            entries = cur[level]
+            entry = entries.pop()
             if not entries:
-                continue
-            if on_level is not None:
-                first = [e >> nslots for e in entries if not e & slot_mask]
-                if first:
-                    on_level(k, level, [(places[key >> gbits], key & full) for key in first])
-            if not entries[0] >> nslots & full:
-                return replay(entries[0] >> nslots)
-            found = expand(entries, level, k)
+                del cur[level]
+            if not entry & slot_mask:
+                key = entry >> nslots
+                if on_level is not None:
+                    on_level(k, level, [(places[key >> gbits], key & full)])
+                if not key & full:
+                    return replay(key)
+            found = expand(entry, level, k)
             if found is not None:
                 return found
         return None
@@ -707,20 +697,19 @@ def decide(c: Circuit, g: CouplingGraph, k: int, *, strict: bool = False,
 def search_levels(c: Circuit, g: CouplingGraph, p0: Placement | None = None, *,
                   strict: bool = False,
                   state_cap: int = DEFAULT_STATE_CAP) -> list[list[SearchState]]:
-    """Snapshot the frontiers the search expands, for inspection and
+    """Snapshot the states the search expands, for inspection and
     invariant checks.
 
-    Entries come in search order: bucket by bucket in increasing bound f.
-    Inside a bucket the frontiers filed there from lower buckets come
-    first, then each seed as one entry of a single state followed by the
-    frontiers it leads to, each group deepest level first.  An entry holds
-    one state per placement, with every fragment the frontier has on it.
-    A state is reported at its first pass only, in the bucket of its own
-    f, not when it is passed again to build children of higher f; so
-    each (placement, fragment) appears in one entry only.  Each entry is
-    taken just before it is expanded, so the one in which the search
-    finished is included; when the optimum is 0 it is the seed that
-    finished, with its empty fragment.  ``p0`` None
+    Each entry is one state, alone: a list holding one ``SearchState``
+    with one fragment.  Entries come in search order: bucket by bucket in
+    increasing bound f; inside a bucket the states that lower buckets
+    filed there come first, then each seed followed by the states it leads
+    to, one at a time, deepest level first.  A state is reported at its
+    first pass only, in the bucket of its own f, not when it is passed
+    again to build children of higher f; so each (placement, fragment) is
+    reported once.  Each state is taken just before it is expanded, so the
+    one in which the search finished is included; when the optimum is 0
+    it is the seed that finished, with its empty fragment.  ``p0`` None
     seeds all placements, from bucket 1 on one per orbit of the graph's
     automorphisms; a seed that runs no gate is then neither expanded nor
     reported, and no state above level 0 equals the seed state of its
@@ -729,13 +718,9 @@ def search_levels(c: Circuit, g: CouplingGraph, p0: Placement | None = None, *,
     collected: list[list[SearchState]] = []
 
     def snap(_bound: int, _level: int, frontier) -> None:
-        by_placement: dict[tuple[int, ...], list[int]] = {}
-        for phys, mask in frontier:
-            by_placement.setdefault(phys, []).append(mask)
         collected.append([
-            SearchState(Placement(phys), tuple(
-                descriptor(Subcircuit._from_mask(c, m)) for m in masks))
-            for phys, masks in sorted(by_placement.items())
+            SearchState(Placement(phys), (descriptor(Subcircuit._from_mask(c, mask)),))
+            for phys, mask in frontier
         ])
 
     _solve(c, g, start=p0, strict=strict, budget=None, state_cap=state_cap,

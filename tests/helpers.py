@@ -89,3 +89,13 @@ def all_subcircuit_masks(c: Circuit) -> list[int]:
         if ok:
             out.append(mask)
     return out
+
+
+def assert_strict_plan(plan) -> None:
+    """Replay a plan and assert that both endpoints of every SWAP hold a
+    qubit, as strict mode requires."""
+    placement = plan.initial
+    for a, b in plan.swaps:
+        held = set(placement.to_physical)
+        assert a in held and b in held, (plan, (a, b))
+        placement = placement.apply_swap(a, b)

@@ -40,7 +40,12 @@ from qcmap import (
     verify_plan,
 )
 
-from helpers import example_circuit, random_cnot_circuit, random_connected_graph
+from helpers import (
+    assert_strict_plan,
+    example_circuit,
+    random_cnot_circuit,
+    random_connected_graph,
+)
 
 
 def triangle_circuit():
@@ -132,12 +137,23 @@ class TestSolveExact:
     def test_state_cap(self):
         with pytest.raises(ResourceLimitError):
             solve_exact(triangle_circuit(), linear(3), state_cap=1)
-        # The cap trips inside the search: bucket 1 of this instance
-        # records more than 20,000 states (at 10,000 the cap trips while
-        # bucket 1 is still being seeded).
-        c = gen_random_circuit(RandomCircuitSpec(5, 15, 1.0, 27))
+        # The cap trips inside the search, in bucket 3 of this instance
+        # (at 1,000 it trips while bucket 2 is still being seeded).
+        c = gen_random_circuit(RandomCircuitSpec(6, 15, 1.0, 1))
         with pytest.raises(ResourceLimitError, match="at level 1"):
-            solve_exact(c, tokyo(), state_cap=20_000)
+            solve_exact(c, aspen(), state_cap=2_000)
+
+    def test_optimum_bucket_stops_at_its_first_finished_state(self):
+        # A bucket is swept one state at a time, deepest level first, so
+        # the bucket that holds the optimum passes a state's children
+        # before its siblings.  Passing a whole level before any child
+        # records about 66k states here; one at a time, about 16k.
+        c = gen_random_circuit(RandomCircuitSpec(5, 15, 1.0, 27))
+        g = tokyo()
+        res = solve_exact(c, g, state_cap=20_000)
+        assert res.cost == 2
+        report = verify_plan(c, g, res.plan)
+        assert report.accepted and report.swaps_used == 2
 
     def test_nothing_above_the_optimum_is_recorded(self):
         # Only children in the bucket being swept are built, so the
@@ -343,6 +359,8 @@ class TestSeedOrbitFilter:
                         continue
                     report = verify_plan(c, g, res.plan)
                     assert report.accepted and report.swaps_used == res.cost, where
+                    if strict:
+                        assert_strict_plan(res.plan)
                     assert decide(c, g, res.cost, strict=strict), where
                     if res.cost > 0:
                         assert not decide(c, g, res.cost - 1, strict=strict), where
@@ -649,6 +667,31 @@ class TestSearchLevels:
             checked += len(states)
         assert checked > 1000, "the draw's searches expand hundreds of frontiers"
 
+    def test_no_state_reported_twice_in_any_mode(self):
+        # The closed map is written once: across a whole search, over all
+        # placements or from a fixed start, strict or not, each (placement,
+        # fragment) is reported once, alone.
+        # Fuller graphs give strict fixed starts room to move.
+        rng = random.Random(113)
+        checked = {}
+        for g, q in ((grid_square(3, 3), 4), (grid_square(3, 3), 7), (aspen(), 4),
+                     (cycle(6), 6), (linear(6), 5)):
+            c = gen_random_circuit(RandomCircuitSpec(
+                q, rng.randrange(12, 18), 1.0, rng.randrange(1000)))
+            p0 = Placement(tuple(rng.sample(range(g.num_nodes), q)))
+            for start in (None, p0):
+                for strict in (False, True):
+                    where = (g, c, start, strict)
+                    levels = search_levels(c, g, start, strict=strict, state_cap=100_000)
+                    assert all(len(frontier) == 1 and len(frontier[0].fragments) == 1
+                               for frontier in levels), where
+                    states = [(s.placement, s.fragments[0])
+                              for frontier in levels for s in frontier]
+                    assert len(set(states)) == len(states), where
+                    mode = (start is None, strict)
+                    checked[mode] = checked.get(mode, 0) + len(states)
+        assert len(checked) == 4 and min(checked.values()) > 500, checked
+
     def test_fixed_start_has_single_seed(self):
         c = triangle_circuit()
         levels = search_levels(c, linear(3), Placement((0, 1, 2)))
@@ -693,6 +736,7 @@ class TestBoundedSearchAgainstBruteForce:
                 strict = solve_exact(c, g, strict=True)
                 assert strict.cost == brute_force_g(c, g, strict=True, **limits).cost, where
                 assert verify_plan(c, g, strict.plan).swaps_used == strict.cost, where
+                assert_strict_plan(strict.plan)
 
 
 class TestPlanSerialization:

@@ -8,7 +8,8 @@ qubit labels change the backtrack order the leaders are read in, an
 added edge changes the automorphism group, and a prefix changes which
 seed placements run no gate.  Cases are derandomized, so every run
 checks the same instances; reversal is also checked on three fixed
-instances of the hard 5-6 qubit strata.
+instances of the hard 5-6 qubit strata, free and strict, and ``decide``
+at the optimum and one below on a 7-qubit path instance.
 """
 
 import pytest
@@ -28,6 +29,8 @@ from qcmap import (
     solve_exact,
     tokyo,
 )
+
+from helpers import assert_strict_plan
 
 GRAPHS = [grid_square(3, 3), aspen(), cycle(6), linear(6), tokyo()]
 # Gate counts per qubit count: enough for optima up to 4, few enough that
@@ -49,7 +52,10 @@ def instances(draw):
 
 
 def cost(c, g, strict):
-    return solve_exact(c, g, strict=strict).cost
+    res = solve_exact(c, g, strict=strict)
+    if strict and res.feasible:
+        assert_strict_plan(res.plan)
+    return res.cost
 
 
 @CASES
@@ -108,16 +114,27 @@ def test_reversed_circuit_keeps_optimum(case):
 
 
 # Hard strata: 5-6 qubits, where the search records tens of thousands of
-# states and no oracle reaches.  Each pair takes 0.3-2.5 s.
-@pytest.mark.parametrize("g, spec, opt", [
+# states and no oracle reaches.  Each pair takes 0.3-2.5 s.  The strict
+# optima equal the free ones here.
+HARD = pytest.mark.parametrize("g, spec, opt", [
     (tokyo(), RandomCircuitSpec(5, 15, 1.0, 27), 2),
     (aspen(), RandomCircuitSpec(6, 15, 1.0, 1), 4),
     (grid_square(3, 3), RandomCircuitSpec(6, 14, 1.0, 1), 3),
 ], ids=["tokyo-q5", "aspen-q6", "grid33-q6"])
+
+
+@HARD
 def test_reversal_keeps_optimum_on_hard_strata(g, spec, opt):
     c = gen_random_circuit(spec)
     assert cost(c, g, False) == opt
     assert cost(reversed_circuit(c), g, False) == opt
+
+
+@HARD
+def test_strict_reversal_keeps_optimum_on_hard_strata(g, spec, opt):
+    c = gen_random_circuit(spec)
+    assert cost(c, g, True) == opt
+    assert cost(reversed_circuit(c), g, True) == opt
 
 
 @CASES
@@ -128,3 +145,11 @@ def test_decide_brackets_optimum(case):
     assert decide(c, g, opt, strict=strict)
     if opt > 0:
         assert not decide(c, g, opt - 1, strict=strict)
+
+
+def test_decide_brackets_optimum_on_a_hard_path():
+    # linear(8), 7 qubits: optimum 9, far above the distance bound.
+    c = gen_random_circuit(RandomCircuitSpec(7, 20, 1.0, 1))
+    g = linear(8)
+    assert decide(c, g, 9)
+    assert not decide(c, g, 8)
