@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 from .bench import emit_csv, gen_random_circuit, run_benchmark, RandomCircuitSpec
-from .circuits import format_circuit, load_circuit, save_circuit
-from .coupling import FAMILIES, format_graph, gen, load_graph, save_graph
+from .circuits import format_circuit, load_circuit
+from .coupling import FAMILIES, format_graph, gen, load_graph
 from .errors import ParseError, ResourceLimitError
 from .gadgets import (
     gen_clique_circuit, gen_cycle_circuit, gen_path_circuit,
@@ -30,6 +30,15 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                         "states, or when the graph's n*n distance table is larger")
     p.add_argument("--strict-swaps", action="store_true",
                    help="only allow swaps on edges with both endpoints occupied")
+
+
+def _write_or_print(text: str, out: str | None) -> int:
+    """Write ``text`` to the file ``out``, or to stdout when none is given."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        print(text, end="")
+    return 0
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -83,22 +92,11 @@ def _cmd_gen_circuit(args: argparse.Namespace) -> int:
         builder = {"clique": gen_clique_circuit, "path": gen_path_circuit,
                    "cycle": gen_cycle_circuit}[args.kind]
         c = builder(args.size)
-    text = format_circuit(c)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text, end="")
-    return 0
+    return _write_or_print(format_circuit(c), args.out)
 
 
 def _cmd_gen_graph(args: argparse.Namespace) -> int:
-    g = gen(args.family, *args.params)
-    text = format_graph(g)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text, end="")
-    return 0
+    return _write_or_print(format_graph(gen(args.family, *args.params)), args.out)
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -132,12 +130,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         two_qubit_fraction=args.two_qubit_fraction, graph_nodes=args.graph_nodes,
         threads=args.threads, state_cap=args.state_cap, strict=args.strict_swaps,
     )
-    text = emit_csv(rows)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text, end="")
-    return 0
+    return _write_or_print(emit_csv(rows), args.out)
 
 
 def _parse_range(text: str) -> list[int]:

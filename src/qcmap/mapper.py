@@ -16,9 +16,9 @@ in increasing f.  Bucket K is seeded with the placements whose h is
 exactly K, found by backtracking over partial placements that keep every
 interacting pair within K+1 hops; at K = 0 that is the embedding test of
 the interaction topology.  A fixed start is the one seed of its search,
-filed in the bucket of its own h.  Each seed is the level-0 frontier of
-its bucket, swept as soon as it is enumerated; inside a bucket states
-are passed one at a time, deepest level first, so the bucket that holds
+filed in the bucket of its own h.  Inside a bucket states are passed
+one at a time, deepest level first, and when the bucket runs dry the
+next seed is enumerated as its level-0 entry; so the bucket that holds
 the optimum stops at its first finished fragment.
 
 States are expanded partially, and a child's f is known before the child
@@ -37,7 +37,7 @@ ever built or recorded, and none is built twice.
 
 Seeds and children take one path: a new state is recorded in a closed
 map, which ``state_cap`` bounds, then returned if it is finished or else
-filed in its bucket's frontier.  The closed map is written once per
+passed in its bucket.  The closed map is written once per
 (placement, fragment) and is the one duplicate check: a state already
 in it is never filed again.  That is exact because a state's first
 record is at its lowest level.  h depends on the state alone, so in
@@ -317,39 +317,32 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, orbits: bool):
 def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | None, *,
             strict: bool, bound: int | None, state_cap: int, on_level=None):
     """The search engine: best-first over (placement, fragment) states,
-    with enhanced partial expansion.
+    with enhanced partial expansion (see the module docstring).
 
     A free search (``start`` None) takes its seeds from ``_seeds``, which
     enumerates every placement bucket by bucket; from bucket 1 on, they
     pass the orbit filter of ``graph.automorphisms``.  A fixed ``start``
-    is the one seed, filed straight into the bucket of its own h.  Free
-    searches skip a seed that runs no gate of a non-empty circuit and drop
-    a child equal to its placement's seed state; a fixed start keeps both.
-    States with f above ``bound`` are never built (None: no cut).  Returns
-    (cost, initial placement, swaps) for the first finished fragment,
-    which is optimal, or None when nothing within the bound finishes.
+    is the one seed, in the bucket of its own h.  Free searches skip a
+    seed that runs no gate of a non-empty circuit and drop a child equal
+    to its placement's seed state; a fixed start keeps both.  States with
+    f above ``bound`` are never built (None: no cut).  Returns (cost,
+    initial placement, swaps) for the first finished fragment, which is
+    optimal, or None when nothing within the bound finishes.
 
-    A frontier entry is a state and a mask of SWAP slots (qubit * max
-    degree + index of the edge among its node's neighbors); an empty mask
-    marks the state's first pass.  A pass in bucket k builds only the
-    children whose f is k.  The first pass computes every child's f from
-    the parent alone and files the state again, at its own level, in
-    buckets k+1 and k+2 with the SWAPs whose children land there; a later
-    pass builds the SWAPs of its mask.  So a state is re-filed at most
-    twice, after its one first pass, and no child above the optimum, or
-    above ``bound``, is ever built.
+    One loop per bucket k passes one frontier entry at a time: it pops
+    the entry at the deepest level, and when the bucket runs dry it takes
+    the next seed as the bucket's level-0 entry.  An entry is a state and
+    a mask of SWAP slots (qubit * max degree + index of the edge among its
+    node's neighbors); an empty mask marks the state's first pass, which
+    re-files the state at its own level in buckets k+1 and k+2 with the
+    SWAPs whose children land there.  A pass builds the children whose f
+    is k and files them at the next level of bucket k.
 
-    A bucket is swept one entry at a time, always from its deepest level,
-    so a state's children are passed before its siblings; the closed map
-    is written once per state, which the module docstring shows exact.  A
-    seed is swept on its own, after the entries that lower buckets filed
-    into its bucket.  ``on_level(k, level, states)`` sees each state of
-    bucket k on its first pass, alone, as a one-element list of
-    (placement, fragment mask), just before it is expanded, a seed that
-    finished included; so each state is reported once.  ``state_cap``
-    bounds the closed-map records: each state reached, counted once
-    however many frontier entries refer to it.  The re-filed entries are
-    not counted, as there are at most two per state passed.
+    ``on_level(k, level, placement, fragment mask)`` sees each state on
+    its first pass, a seed that finished included, so each state is
+    reported once.  ``state_cap`` bounds the closed-map records: each
+    state reached, counted once; the re-filed entries, at most two per
+    state passed, are not counted.
     """
     n = graph.num_nodes
     nbrs = graph.neighbors
@@ -446,143 +439,16 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
         swaps.reverse()
         return len(swaps), places[key >> gbits], swaps
 
-    def over_cap(where: str) -> ResourceLimitError:
+    def over_cap(level: int) -> ResourceLimitError:
+        # Every lower bucket is exhausted, so the optimum is at least k.
         return ResourceLimitError(
-            f"search reached more than the state cap ({state_cap}) states {where}; "
+            f"search reached more than the state cap ({state_cap}) states in bucket {k} "
+            f"at level {level} (the optimum is at least {k}); "
             "raise it to search this instance"
         )
 
-    # f -> level -> frontier entries filed there, not yet swept.
+    # f -> level -> frontier entries filed there, not yet passed.
     buckets: dict[int, dict[int, list[int]]] = {}
-
-    def expand(entry: int, level: int, k: int):
-        """Pass the state of ``entry``, at ``level`` in bucket k: build the
-        children whose f is k, record each new one and file it at level + 1
-        of bucket k.  A first pass takes each child's f as level + far,
-        which the module docstring shows exact, and files the state again
-        in buckets k+1 and k+2 with the SWAPs whose children land there.
-        Returns the result of the first finished child, else None."""
-        key = entry >> nslots
-        todo = entry & slot_mask
-        m = key & full
-        phys = places[key >> gbits]
-        if not todo:
-            top = k - level + 1  # the parent's own far
-            at = dict(zip(phys, range(len(phys))))
-            pend = pending_memo.get(m)
-            if pend is None:
-                pend = pending(m)
-            pend, partners = pend
-            # The parent's farthest pairs, top hops apart, counted per
-            # qubit: a SWAP lowers far only if it moves a qubit of each.
-            tops = [0] * nq
-            ntop = 0
-            for a, b in pend:
-                if dist[phys[a]][phys[b]] == top:
-                    ntop += 1
-                    tops[a] += 1
-                    tops[b] += 1
-            # The slots of the SWAPs whose children land in bucket k, k+1
-            # and k+2.  Along each edge at a qubit's node; an edge between
-            # two qubits is taken from its lower end.  Only the pairs at a
-            # moved qubit change, so far is the largest of them, or top if
-            # that is smaller and some farthest pair did not move.  (A pair
-            # of the two moved qubits stays one hop apart and reads 0 here,
-            # which changes no outcome.)
-            next1 = next2 = 0
-            for i, p in enumerate(phys):
-                mine = partners[i]
-                for e, w in enumerate(nbrs[p]):
-                    j = at.get(w)
-                    if j is None:
-                        if strict:
-                            continue
-                        covered = tops[i] == ntop
-                    elif w < p:
-                        continue
-                    else:
-                        covered = tops[i] + tops[j] == ntop
-                    far = 0
-                    row = dist[w]
-                    for x in mine:
-                        d = row[phys[x]]
-                        if d > far:
-                            far = d
-                    if j is not None:
-                        row = dist[p]
-                        for x in partners[j]:
-                            d = row[phys[x]]
-                            if d > far:
-                                far = d
-                    if far > top:
-                        next2 |= 1 << i * width + e
-                    elif covered and far < top:
-                        todo |= 1 << i * width + e
-                    else:
-                        next1 |= 1 << i * width + e
-            # Filed at level in buckets k+1 and k+2, unless above bound.
-            if next1 and (bound is None or k + 1 <= bound):
-                buckets.setdefault(k + 1, {}).setdefault(level, []).append(key << nslots | next1)
-            if next2 and (bound is None or k + 2 <= bound):
-                buckets.setdefault(k + 2, {}).setdefault(level, []).append(key << nslots | next2)
-        link = (key + 1) * stride  # parent link, less the SWAP
-        children = []
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            i, e = divmod(low.bit_length() - 1, width)
-            p = phys[i]
-            w = nbrs[p][e]
-            moved = list(phys)
-            if w in moved:
-                moved[moved.index(w)] = p
-            moved[i] = w
-            nphys = tuple(moved)
-            nidx = index.get(nphys)
-            if nidx is None:
-                nidx = intern(nphys)
-            sig = sigs[nidx]
-            nm = reduce_memo.get(m << npairs | sig)
-            if nm is None:
-                nm = reduce_mask(m, sig)
-            if free_start and nm == seed_of[nidx]:
-                continue  # the seed state of nphys: starting there is cheaper
-            nkey = nidx << gbits | nm
-            if nkey in closed:
-                continue
-            closed[nkey] = link + (p * n + w if p < w else w * n + p)
-            if len(closed) > state_cap:
-                raise over_cap(f"at level {level + 1}")
-            if not nm:
-                return replay(nkey)
-            children.append(nkey << nslots)
-        if children:
-            buckets[k].setdefault(level + 1, []).extend(children)
-        return None
-
-    def sweep(k: int):
-        """Pass the entries of bucket k one at a time, each from the deepest
-        level, and report each state on its first pass.  Returns the result
-        of a finished state, else None; only a seed is still finished here,
-        as a finished child returns when it is recorded."""
-        cur = buckets[k]
-        while cur:
-            level = max(cur)
-            entries = cur[level]
-            entry = entries.pop()
-            if not entries:
-                del cur[level]
-            if not entry & slot_mask:
-                key = entry >> nslots
-                if on_level is not None:
-                    on_level(k, level, [(places[key >> gbits], key & full)])
-                if not key & full:
-                    return replay(key)
-            found = expand(entry, level, k)
-            if found is not None:
-                return found
-        return None
-
     while bound is None or k <= bound:
         if k > seed_max and not buckets:
             return None
@@ -590,31 +456,139 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
         # Bucket 0 stops at its first seed, so only the free seeds from
         # bucket 1 on go through the orbit filter.
         if k > seed_max:
-            seeds = ()
+            seeds = iter(())
         elif free_start:
             seeds = _seeds(info, graph, k, k > 0)
         else:
-            seeds = (start,)
-        # What lower buckets filed here goes first, then each seed is the
-        # level-0 frontier of its own sweep as soon as it is enumerated.
-        found = sweep(k)
-        if found is not None:
-            return found
-        for phys in seeds:
-            idx = index.get(phys)
-            if idx is None:
-                idx = intern(phys)
-            m0 = seed_of[idx]
-            if m0 == full and full and free_start:
-                continue  # runs no gate: each child is another seed
-            key = idx << gbits | m0
-            closed[key] = 0
-            if len(closed) > state_cap:
-                raise over_cap(f"while seeding bound {k}")
-            cur[0] = [key << nslots]
-            found = sweep(k)
-            if found is not None:
-                return found
+            seeds = iter((start,))
+        while True:
+            if cur:
+                # The deepest entry, so a state's children pass before its
+                # siblings.
+                level = max(cur)
+                entries = cur[level]
+                entry = entries.pop()
+                if not entries:
+                    del cur[level]
+                key = entry >> nslots
+                todo = entry & slot_mask
+                phys = places[key >> gbits]
+            else:
+                # Dry: the next seed is the bucket's one level-0 entry.
+                phys = next(seeds, None)
+                if phys is None:
+                    break
+                idx = index.get(phys)
+                if idx is None:
+                    idx = intern(phys)
+                m0 = seed_of[idx]
+                if m0 == full and full and free_start:
+                    continue  # runs no gate: each child is another seed
+                key = idx << gbits | m0
+                closed[key] = 0
+                if len(closed) > state_cap:
+                    raise over_cap(0)
+                level = todo = 0
+            m = key & full
+            if not todo:
+                # First pass: report the state, then sort its SWAPs by the
+                # bucket of their children, computed from the parent alone.
+                if on_level is not None:
+                    on_level(k, level, phys, m)
+                if not m:
+                    return replay(key)  # only a seed is still finished here
+                top = k - level + 1  # the parent's own far
+                at = dict(zip(phys, range(len(phys))))
+                pend = pending_memo.get(m)
+                if pend is None:
+                    pend = pending(m)
+                pend, partners = pend
+                # The parent's farthest pairs, top hops apart, counted per
+                # qubit: a SWAP lowers far only if it moves a qubit of each.
+                tops = [0] * nq
+                ntop = 0
+                for a, b in pend:
+                    if dist[phys[a]][phys[b]] == top:
+                        ntop += 1
+                        tops[a] += 1
+                        tops[b] += 1
+                # The slots of the SWAPs whose children land in bucket k,
+                # k+1 and k+2.  Along each edge at a qubit's node; an edge
+                # between two qubits is taken from its lower end.  Only the
+                # pairs at a moved qubit change, so far is the largest of
+                # them, or top if that is smaller and some farthest pair did
+                # not move.  (A pair of the two moved qubits stays one hop
+                # apart and reads 0 here, which changes no outcome.)
+                next1 = next2 = 0
+                for i, p in enumerate(phys):
+                    mine = partners[i]
+                    for e, w in enumerate(nbrs[p]):
+                        j = at.get(w)
+                        if j is None:
+                            if strict:
+                                continue
+                            covered = tops[i] == ntop
+                        elif w < p:
+                            continue
+                        else:
+                            covered = tops[i] + tops[j] == ntop
+                        far = 0
+                        row = dist[w]
+                        for x in mine:
+                            d = row[phys[x]]
+                            if d > far:
+                                far = d
+                        if j is not None:
+                            row = dist[p]
+                            for x in partners[j]:
+                                d = row[phys[x]]
+                                if d > far:
+                                    far = d
+                        if far > top:
+                            next2 |= 1 << i * width + e
+                        elif covered and far < top:
+                            todo |= 1 << i * width + e
+                        else:
+                            next1 |= 1 << i * width + e
+                # Filed at level in buckets k+1 and k+2, unless above bound.
+                if next1 and (bound is None or k + 1 <= bound):
+                    buckets.setdefault(k + 1, {}).setdefault(level, []).append(key << nslots | next1)
+                if next2 and (bound is None or k + 2 <= bound):
+                    buckets.setdefault(k + 2, {}).setdefault(level, []).append(key << nslots | next2)
+            # Build the children of the slots in todo, all in bucket k.
+            link = (key + 1) * stride  # parent link, less the SWAP
+            children = []
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                i, e = divmod(low.bit_length() - 1, width)
+                p = phys[i]
+                w = nbrs[p][e]
+                moved = list(phys)
+                if w in moved:
+                    moved[moved.index(w)] = p
+                moved[i] = w
+                nphys = tuple(moved)
+                nidx = index.get(nphys)
+                if nidx is None:
+                    nidx = intern(nphys)
+                sig = sigs[nidx]
+                nm = reduce_memo.get(m << npairs | sig)
+                if nm is None:
+                    nm = reduce_mask(m, sig)
+                if free_start and nm == seed_of[nidx]:
+                    continue  # the seed state of nphys: starting there is cheaper
+                nkey = nidx << gbits | nm
+                if nkey in closed:
+                    continue
+                closed[nkey] = link + (p * n + w if p < w else w * n + p)
+                if len(closed) > state_cap:
+                    raise over_cap(level + 1)
+                if not nm:
+                    return replay(nkey)
+                children.append(nkey << nslots)
+            if children:
+                cur.setdefault(level + 1, []).extend(children)
         del buckets[k]
         k += 1
     return None
@@ -717,10 +691,9 @@ def search_levels(c: Circuit, g: CouplingGraph, p0: Placement | None = None, *,
     """
     collected: list[list[SearchState]] = []
 
-    def snap(_bound: int, _level: int, frontier) -> None:
+    def snap(_bound: int, _level: int, phys: tuple[int, ...], mask: int) -> None:
         collected.append([
             SearchState(Placement(phys), (descriptor(Subcircuit._from_mask(c, mask)),))
-            for phys, mask in frontier
         ])
 
     _solve(c, g, start=p0, strict=strict, budget=None, state_cap=state_cap,

@@ -142,6 +142,8 @@ class TestSolveExact:
         c = gen_random_circuit(RandomCircuitSpec(6, 15, 1.0, 1))
         with pytest.raises(ResourceLimitError, match="at level 1"):
             solve_exact(c, aspen(), state_cap=2_000)
+        with pytest.raises(ResourceLimitError, match="in bucket 2 at level 0"):
+            solve_exact(c, aspen(), state_cap=1_000)
 
     def test_optimum_bucket_stops_at_its_first_finished_state(self):
         # A bucket is swept one state at a time, deepest level first, so
@@ -454,15 +456,14 @@ class TestSeedDominance:
         for strict in (False, True):
             seen = []
             _solve(c, g, strict=strict, budget=None, state_cap=DEFAULT_STATE_CAP,
-                   on_level=lambda k, level, states: seen.append((level, states)))
+                   on_level=lambda k, level, phys, mask: seen.append((level, phys, mask)))
             assert len(seen) > 100
-            for level, states in seen:
-                for phys, mask in states:
-                    seed = self.seed_state(c, Placement(phys), g)
-                    if level == 0:
-                        assert mask == seed.mask != full, (strict, phys)
-                    else:
-                        assert mask != seed.mask, (strict, level, phys)
+            for level, phys, mask in seen:
+                seed = self.seed_state(c, Placement(phys), g)
+                if level == 0:
+                    assert mask == seed.mask != full, (strict, phys)
+                else:
+                    assert mask != seed.mask, (strict, level, phys)
 
     def test_fixed_start_keeps_seed_states(self):
         # One gate, operands three hops apart: the start runs no gate, and
@@ -532,12 +533,12 @@ class TestLowerBound:
                         seen = []
                         _solve(c, g, start=start, strict=strict, budget=None,
                                state_cap=DEFAULT_STATE_CAP,
-                               on_level=lambda k, level, states: seen.append((k, level, states)))
-                        for k, level, states in seen:
-                            for phys, mask in states:
-                                assert k == self.bucket(c, g, phys, mask, level), (
-                                    g, c, start, strict, level, phys, mask)
-                                checked += 1
+                               on_level=lambda k, level, phys, mask:
+                                   seen.append((k, level, phys, mask)))
+                        for k, level, phys, mask in seen:
+                            assert k == self.bucket(c, g, phys, mask, level), (
+                                g, c, start, strict, level, phys, mask)
+                            checked += 1
                         if start is not None:
                             start_buckets.add(seen[0][0])
         assert checked > 1000, checked
