@@ -99,25 +99,27 @@ def _cmd_gen_graph(args: argparse.Namespace) -> int:
     return _write_or_print(format_graph(gen(args.family, *args.params)), args.out)
 
 
+# Per ``reduce --from`` kind: the builder, and the flags it takes after
+# the graph, in order.
+_REDUCTIONS = {
+    "clique": (reduce_clique_to_qcm, ("n",)),
+    "hamcycle": (reduce_hamcycle_to_qcm, ()),
+    "hampath": (reduce_hamcycle_to_hampath_qcm, ()),
+    "usp": (reduce_usp_to_qcm, ("s", "t", "k")),
+    "fixed-k": (reduce_hamcycle_to_fixed_k, ("k",)),
+}
+
+
 def _cmd_reduce(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     kind = getattr(args, "from")
-    if kind == "clique":
-        if args.n is None:
-            raise ValueError("clique reduction needs --n")
-        inst = reduce_clique_to_qcm(g, args.n)
-    elif kind == "hamcycle":
-        inst = reduce_hamcycle_to_qcm(g)
-    elif kind == "hampath":
-        inst = reduce_hamcycle_to_hampath_qcm(g)
-    elif kind == "usp":
-        if args.s is None or args.t is None or args.k is None:
-            raise ValueError("usp reduction needs --s, --t and --k")
-        inst = reduce_usp_to_qcm(g, args.s, args.t, args.k)
-    else:
-        if args.k is None:
-            raise ValueError("fixed-k reduction needs --k")
-        inst = reduce_hamcycle_to_fixed_k(g, args.k)
+    builder, flags = _REDUCTIONS[kind]
+    values = [getattr(args, f) for f in flags]
+    if None in values:
+        names = [f"--{f}" for f in flags]
+        needs = names[0] if len(names) == 1 else f"{', '.join(names[:-1])} and {names[-1]}"
+        raise ValueError(f"{kind} reduction needs {needs}")
+    inst = builder(g, *values)
     save_instance(inst, args.out)
     print(f"budget {inst.budget} provenance {inst.provenance}")
     print(f"wrote {args.out}.qc {args.out}.cg {args.out}.hdr")
@@ -195,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_graph)
 
     p = sub.add_parser("reduce", help="build a reduction instance (.qc/.cg/.hdr)")
-    p.add_argument("--from", choices=["clique", "hamcycle", "hampath", "usp", "fixed-k"],
-                   required=True)
+    p.add_argument("--from", choices=list(_REDUCTIONS), required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, help="clique size")
     p.add_argument("--k", type=int, help="distance bound or swap budget")

@@ -97,13 +97,16 @@ class CouplingGraph:
         Found by backtracking over node images in node order: a node maps
         only to a node with the same sorted distance row, and each image
         keeps the distance to every node mapped before it.  The search
-        stops after num_nodes**2 elements, which bounds the cost of testing
-        a placement against them on graphs with huge groups (a 12-leaf star
-        has 12! automorphisms).  A truncated subset still keeps the mapper's
-        seed orbit filter exact: an orbit's leader, its least placement in
-        the seed backtrack's order, is no larger than any of its images, so
-        it passes the test for any subset.  Only the complete group makes
-        the leader the one seed of its orbit; a subset may keep more.
+        stops after 2 * num_nodes elements, which bounds the time and
+        memory of the group, its masks and the mapper's test of each
+        partial placement against it on graphs with huge groups (a 12-leaf
+        star has 12! automorphisms).  A ring's whole dihedral group fits:
+        2 * num_nodes - 1 elements besides the identity.  A truncated
+        subset still keeps the mapper's seed orbit filter exact: an
+        orbit's leader, its least placement in the seed backtrack's order,
+        is no larger than any of its images, so it passes the test for any
+        subset.  Only the complete group makes the leader the one seed of
+        its orbit; a subset may keep more.
         """
         n = self.num_nodes
         dist = self.distances
@@ -135,7 +138,7 @@ class CouplingGraph:
                 p = tuple(image)
                 if p != identity:
                     found.append(p)
-                    if len(found) == n * n:
+                    if len(found) == 2 * n:
                         break
                 continue
             i += 1

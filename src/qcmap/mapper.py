@@ -66,8 +66,8 @@ search has, so fixed-start searches keep every state.
 Seeds are filtered by the coupling graph's symmetry.  A graph
 automorphism keeps every distance, so it keeps h and the cost of every
 SWAP sequence: all placements in one orbit reach the same optimum, and
-they all lie in the same bucket.  From bucket 1 on, only orbit leaders
-are seeded: a placement, read in the backtrack's qubit order, must be
+they all lie in the same bucket.  Only orbit leaders are seeded, in
+every bucket: a placement, read in the backtrack's qubit order, must be
 lexicographically no larger than its image under each automorphism that
 ``CouplingGraph.automorphisms`` found.  The test is applied to every
 partial placement of the backtrack, not to finished ones: a node is
@@ -76,9 +76,7 @@ placed before it maps that node lower, so the backtrack never builds
 anything below a prefix that cannot lead its orbit.  The orbit's leader
 passes the test for any set of automorphisms, so every orbit keeps a
 seed and the optimum stays exact; under the complete group the leader is
-the only seed of its orbit.  Bucket 0 is left unfiltered: its first seed
-finishes at once, so filtering would save nothing, and a budget-0 decide
-never computes the group.  A fixed start is a single seed and is never
+the only seed of its orbit.  A fixed start is a single seed and is never
 filtered.
 """
 
@@ -228,17 +226,18 @@ class _CircuitInfo:
         )
 
 
-def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, orbits: bool):
+def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int):
     """Initial placements with h exactly k, in backtracking order.
 
     Every interacting pair lies within k+1 hops and, for k > 0, some pair
     exactly k+1 hops apart.  Partial placements that break the hop limit
-    are never extended.  With ``orbits``, a placement is yielded only if,
-    read in backtrack order (``info.order``), it is lexicographically no
-    larger than its image under each of ``graph.automorphisms``; under a
-    complete group that is one placement per orbit, its leader.  The test
-    runs on every prefix, so no placement below a prefix that cannot lead
-    its orbit is built.
+    are never extended.  A placement is yielded only if, read in backtrack
+    order (``info.order``), it is lexicographically no larger than its
+    image under each of ``graph.automorphisms``; under a complete group
+    that is one placement per orbit, its leader.  The test runs on every
+    prefix, so no placement below a prefix that cannot lead its orbit is
+    built.  Call it with k > 0 only if some pair interacts: with none,
+    every placement has h = 0.
     """
     n = graph.num_nodes
     dist = graph.distances
@@ -248,8 +247,6 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, orbits: bool):
     fits = [room[d] for d in info.degree]
     order, back, pairs = info.order, info.placed_partners, info.pairs
     num_active, num_qubits = info.num_active, len(order)
-    if k and not num_active:
-        return  # nothing interacts: every seed has h = 0
     if not num_qubits:
         yield ()
         return
@@ -258,7 +255,7 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, orbits: bool):
     # maps the next node lower makes the image smaller, so that node is
     # banned; one that maps it higher can reject nothing below it, so only
     # the automorphisms fixing the node stay tied.
-    fixes, lowers = graph.automorphism_masks if orbits else ((), ())
+    fixes, lowers = graph.automorphism_masks
 
     def ban(tied: int) -> int:
         """The nodes some automorphism of the tied set maps lower."""
@@ -290,7 +287,7 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, orbits: bool):
         x = low.bit_length() - 1
         pos[order[i]] = x
         i += 1
-        if i == num_active and k and all(dist[pos[a]][pos[b]] <= k for a, b in pairs):
+        if i == num_active and all(dist[pos[a]][pos[b]] <= k for a, b in pairs):
             i -= 1  # every pair within k hops: a seed of a lower bucket
             continue
         if i == num_qubits:
@@ -299,8 +296,8 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, orbits: bool):
             continue
         free[i] = free[i - 1] ^ low
         cand = free[i] & fits[i]
-        # Skipped outright without automorphisms: the budget-0 embedding
-        # test runs this loop on every call and pays for each added step.
+        # Skipped outright without automorphisms, which many graphs have
+        # none of: this loop runs once per partial placement.
         if lowers:
             t = tied[i] = tied[i - 1] & fixes[x]
             if t:
@@ -320,14 +317,14 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     with enhanced partial expansion (see the module docstring).
 
     A free search (``start`` None) takes its seeds from ``_seeds``, which
-    enumerates every placement bucket by bucket; from bucket 1 on, they
-    pass the orbit filter of ``graph.automorphisms``.  A fixed ``start``
-    is the one seed, in the bucket of its own h.  Free searches skip a
-    seed that runs no gate of a non-empty circuit and drop a child equal
-    to its placement's seed state; a fixed start keeps both.  States with
-    f above ``bound`` are never built (None: no cut).  Returns (cost,
-    initial placement, swaps) for the first finished fragment, which is
-    optimal, or None when nothing within the bound finishes.
+    enumerates every placement bucket by bucket through the orbit filter
+    of ``graph.automorphisms``.  A fixed ``start`` is the one seed, in the
+    bucket of its own h.  Free searches skip a seed that runs no gate of a
+    non-empty circuit and drop a child equal to its placement's seed
+    state; a fixed start keeps both.  States with f above ``bound`` are
+    never built (None: no cut).  Returns (cost, initial placement, swaps)
+    for the first finished fragment, which is optimal, or None when
+    nothing within the bound finishes.
 
     One loop per bucket k passes one frontier entry at a time: it pops
     the entry at the deepest level, and when the bucket runs dry it takes
@@ -453,12 +450,10 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
         if k > seed_max and not buckets:
             return None
         cur = buckets.setdefault(k, {})
-        # Bucket 0 stops at its first seed, so only the free seeds from
-        # bucket 1 on go through the orbit filter.
         if k > seed_max:
             seeds = iter(())
         elif free_start:
-            seeds = _seeds(info, graph, k, k > 0)
+            seeds = _seeds(info, graph, k)
         else:
             seeds = iter((start,))
         while True:
@@ -638,10 +633,10 @@ def solve_exact(c: Circuit, g: CouplingGraph, *, strict: bool = False,
                 state_cap: int = DEFAULT_STATE_CAP) -> MapResult:
     """Minimal SWAP count over all initial placements, with one witness plan.
 
-    Every initial placement is covered: from bucket 1 on, the search
-    seeds each orbit of ``g.automorphisms`` through its leader, the
-    placement that is lexicographically least in backtrack order, and
-    automorphisms preserve every cost, so the result is exact.  ``strict``
+    Every initial placement is covered: the search seeds each orbit of
+    ``g.automorphisms`` through its leader, the placement that is
+    lexicographically least in backtrack order, and automorphisms
+    preserve every cost, so the result is exact.  ``strict``
     restricts SWAPs to edges whose endpoints both hold qubits; strict
     instances can be unsolvable, reported as cost ``inf``.
     """
@@ -660,8 +655,8 @@ def decide(c: Circuit, g: CouplingGraph, k: int, *, strict: bool = False,
 
     The search keeps only states whose lower bound f stays within k, so
     budget 0 seeds only embeddings of the interaction topology and stops
-    at the first one.  From bucket 1 on, the seeds are the orbit leaders
-    of ``g.automorphisms``, as in ``solve_exact``.
+    at the first one.  The seeds are the orbit leaders of
+    ``g.automorphisms``, as in ``solve_exact``.
     """
     if k < 0:
         raise ValueError("budget must be >= 0")
@@ -684,10 +679,9 @@ def search_levels(c: Circuit, g: CouplingGraph, p0: Placement | None = None, *,
     reported once.  Each state is taken just before it is expanded, so the
     one in which the search finished is included; when the optimum is 0
     it is the seed that finished, with its empty fragment.  ``p0`` None
-    seeds all placements, from bucket 1 on one per orbit of the graph's
-    automorphisms; a seed that runs no gate is then neither expanded nor
-    reported, and no state above level 0 equals the seed state of its
-    placement.
+    seeds all placements, one per orbit of the graph's automorphisms; a
+    seed that runs no gate is then neither expanded nor reported, and no
+    state above level 0 equals the seed state of its placement.
     """
     collected: list[list[SearchState]] = []
 

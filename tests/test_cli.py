@@ -219,6 +219,38 @@ class TestReduce:
         assert proc.returncode == 0
         assert load_instance(prefix).provenance.startswith("clique;n=3;")
 
+    def test_hampath_instance(self, tmp_path):
+        graph = tmp_path / "ring.cg"
+        graph.write_text(format_graph(cycle(5)))
+        prefix = tmp_path / "inst"
+        proc = run_cli("reduce", "--from", "hampath", "--graph", graph, "--out", prefix)
+        assert proc.returncode == 0
+        assert "provenance hamcycle-via-hampath;" in proc.stdout
+        assert load_instance(prefix).budget == 0
+
+    def test_fixed_k_instance(self, tmp_path):
+        graph = tmp_path / "ring.cg"
+        graph.write_text(format_graph(cycle(5)))
+        prefix = tmp_path / "inst"
+        proc = run_cli("reduce", "--from", "fixed-k", "--graph", graph, "--k", 1,
+                       "--out", prefix)
+        assert proc.returncode == 0
+        inst = load_instance(prefix)
+        assert inst.budget == 1
+        assert inst.provenance.startswith("hamcycle-fixed-swaps;k=1;")
+
+    @pytest.mark.parametrize("kind, message", [
+        ("fixed-k", "fixed-k reduction needs --k"),
+        ("clique", "clique reduction needs --n"),
+        ("usp", "usp reduction needs --s, --t and --k"),
+    ])
+    def test_missing_flag_exits_2(self, tmp_path, kind, message):
+        graph = tmp_path / "ring.cg"
+        graph.write_text(format_graph(cycle(5)))
+        proc = run_cli("reduce", "--from", kind, "--graph", graph, "--out", tmp_path / "inst")
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == f"error: {message}"
+
 
 class TestBench:
     def test_csv_to_file_and_thread_stability(self, tmp_path):

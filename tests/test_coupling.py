@@ -187,7 +187,7 @@ class TestAutomorphisms:
 
     def test_small_groups_match_every_edge_map(self):
         # Every permutation of a small graph, checked directly; each group
-        # here has fewer than num_nodes**2 elements, so none is truncated.
+        # here has fewer than 2 * num_nodes elements, so none is truncated.
         for g in (cycle(5), linear(5), grid_square(2, 3), clique(3)):
             nodes = range(g.num_nodes)
             every = {p for p in itertools.permutations(nodes)
@@ -206,12 +206,12 @@ class TestAutomorphisms:
         assert len(self.relabeled(g, perm).automorphisms) == count
 
     def test_huge_group_is_truncated_quickly(self):
-        # A 12-leaf star has 12! automorphisms; the search stops at 13**2.
+        # A 12-leaf star has 12! automorphisms; the search stops at 2 * 13.
         star = CouplingGraph(13, [(0, leaf) for leaf in range(1, 13)])
         t0 = time.perf_counter()
         group = star.automorphisms
         assert time.perf_counter() - t0 < 1.0
-        assert len(group) == len(set(group)) == 169
+        assert len(group) == len(set(group)) == 26
         assert all(p[0] == 0 for p in group)
 
 

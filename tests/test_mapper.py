@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -334,7 +335,7 @@ class TestNodeSymmetries:
 
 
 class TestSeedOrbitFilter:
-    """From bucket 1 on, free seeds are filtered by the graph's own
+    """Free seeds, in every bucket, are filtered by the graph's own
     automorphisms; solve_from has a fixed start and is never filtered.
     Nor is it pruned by seed dominance (``TestSeedDominance``), which the
     free search applies too."""
@@ -367,6 +368,15 @@ class TestSeedOrbitFilter:
                     if res.cost > 0:
                         assert not decide(c, g, res.cost - 1, strict=strict), where
 
+    @staticmethod
+    def every_seed(info, g, qubits):
+        """The unfiltered seeds, per bucket: every placement, keyed by h."""
+        buckets = {}
+        for p in itertools.permutations(range(g.num_nodes), qubits):
+            h = max((g.distances[p[a]][p[b]] for a, b in info.pairs), default=1) - 1
+            buckets.setdefault(h, set()).add(p)
+        return buckets
+
     def test_every_orbit_keeps_a_seed(self):
         # Closing the filtered seeds of each bucket under the group gives
         # back every seed of that bucket.  Each group here is complete.
@@ -377,9 +387,10 @@ class TestSeedOrbitFilter:
             for qubits in (3, 4):
                 c = gen_random_circuit(RandomCircuitSpec(qubits, 8, 1.0, rng.randrange(1000)))
                 info = _CircuitInfo(c)
-                for k in range(1, g.diameter):
-                    every = set(_seeds(info, g, k, False))
-                    kept = set(_seeds(info, g, k, True))
+                buckets = self.every_seed(info, g, qubits)
+                for k in range(g.diameter):
+                    every = buckets.get(k, set())
+                    kept = set(_seeds(info, g, k))
                     assert kept <= every, (g, c, k)
                     orbits = {tuple(p[x] for x in s) for s in kept for p in group}
                     assert orbits == every, (g, c, k)
@@ -397,23 +408,64 @@ class TestSeedOrbitFilter:
             for qubits in (3, 4):
                 c = gen_random_circuit(RandomCircuitSpec(qubits, 8, 1.0, rng.randrange(1000)))
                 info = _CircuitInfo(c)
-                for k in range(1, g.diameter):
-                    every = set(_seeds(info, g, k, False))
+                buckets = self.every_seed(info, g, qubits)
+                for k in range(g.diameter):
+                    every = buckets.get(k, set())
                     orbits = {frozenset(tuple(p[x] for x in s) for p in group) for s in every}
-                    kept = list(_seeds(info, g, k, True))
+                    kept = list(_seeds(info, g, k))
                     kept_orbits = {frozenset(tuple(p[x] for x in s) for p in group)
                                    for s in kept}
                     assert len(kept) == len(kept_orbits) == len(orbits), (g, c, k)
 
-    def test_bucket_zero_never_computes_the_group(self):
+    def test_budget_zero_decide_computes_the_group(self):
         g = grid_square(3, 3)
         c = gen_random_circuit(RandomCircuitSpec(4, 14, 1.0, 0))
+        assert "automorphisms" not in vars(g)
         assert not decide(c, g, 0)
-        assert "automorphisms" not in vars(g)
-        assert solve_exact(gen_cycle_circuit(4), g).cost == 0
-        assert "automorphisms" not in vars(g)
-        assert solve_exact(c, g).cost == 3
         assert "automorphisms" in vars(g)
+        assert solve_exact(c, g).cost == 3
+
+    def test_truncated_group_keeps_bucket_zero_exact(self):
+        # Cliques and stars have groups far above 2 * num_nodes elements,
+        # so the filter reads a subset; relabelling the nodes changes which
+        # subset.  Budget 0 must still find an embedding whenever one exists.
+        def star(leaves):
+            return CouplingGraph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+        k33 = CouplingGraph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+        rng = random.Random(97)
+        graphs = []
+        for g in (clique(5), star(13), k33, star(9)):
+            perm = rng.sample(range(g.num_nodes), g.num_nodes)
+            graphs += [g, CouplingGraph(g.num_nodes, [(perm[a], perm[b]) for a, b in g.edges])]
+        answers = []
+        for g in graphs:
+            assert len(g.automorphisms) == 2 * g.num_nodes, g
+            for _ in range(12):
+                qubits = rng.randrange(3, 5 if g.num_nodes > 10 else 6)
+                c = random_cnot_circuit(rng, qubits, rng.randrange(2, 6))
+                # Idle qubits fit on any free node, so only the others are placed.
+                active = sorted({q for gate in c.gates for q in gate.qubits})
+                pairs = {(active.index(a), active.index(b)) for a, b in
+                         (gate.qubits for gate in c.gates)}
+                dist = g.distances
+                embeds = any(all(dist[p[a]][p[b]] == 1 for a, b in pairs)
+                             for p in itertools.permutations(range(g.num_nodes), len(active)))
+                for strict in (False, True):
+                    assert decide(c, g, 0, strict=strict) == embeds, (g, c, strict)
+                answers.append(embeds)
+        assert 20 <= answers.count(False) <= len(answers) - 20
+
+    def test_huge_star_group_is_bounded(self):
+        # A 299-leaf star: the whole group has 299! elements.
+        c = triangle_circuit()
+        for ask, want in ((lambda g: solve_exact(c, g).cost, 1),
+                          (lambda g: decide(c, g, 0), False)):
+            g = CouplingGraph(300, [(0, leaf) for leaf in range(1, 300)])
+            t0 = time.perf_counter()
+            assert ask(g) == want
+            assert time.perf_counter() - t0 < 5.0
+            assert len(g.automorphisms) <= 600
 
     def test_fixed_start_never_computes_the_group(self):
         g = cycle(5)

@@ -7,9 +7,10 @@ filter depends on: node labels change which placement leads each orbit,
 qubit labels change the backtrack order the leaders are read in, an
 added edge changes the automorphism group, and a prefix changes which
 seed placements run no gate.  Cases are derandomized, so every run
-checks the same instances; reversal is also checked on three fixed
-instances of the hard 5-6 qubit strata, free and strict, and ``decide``
-at the optimum and one below on a 7-qubit path instance.
+checks the same instances.  Reversal and the prefix relation are also
+checked on three fixed instances of the hard 5-6 qubit strata, free and
+strict, and an added edge on two of them; ``decide`` at the optimum and
+one below on a 7-qubit path instance and a 6-qubit ``tokyo()`` instance.
 """
 
 import pytest
@@ -116,11 +117,13 @@ def test_reversed_circuit_keeps_optimum(case):
 # Hard strata: 5-6 qubits, where the search records tens of thousands of
 # states and no oracle reaches.  Each pair takes 0.3-2.5 s.  The strict
 # optima equal the free ones here.
-HARD = pytest.mark.parametrize("g, spec, opt", [
+HARD_CASES = [
     (tokyo(), RandomCircuitSpec(5, 15, 1.0, 27), 2),
     (aspen(), RandomCircuitSpec(6, 15, 1.0, 1), 4),
     (grid_square(3, 3), RandomCircuitSpec(6, 14, 1.0, 1), 3),
-], ids=["tokyo-q5", "aspen-q6", "grid33-q6"])
+]
+HARD = pytest.mark.parametrize("g, spec, opt", HARD_CASES,
+                               ids=["tokyo-q5", "aspen-q6", "grid33-q6"])
 
 
 @HARD
@@ -135,6 +138,32 @@ def test_strict_reversal_keeps_optimum_on_hard_strata(g, spec, opt):
     c = gen_random_circuit(spec)
     assert cost(c, g, True) == opt
     assert cost(reversed_circuit(c), g, True) == opt
+
+
+@HARD
+@pytest.mark.parametrize("strict", [False, True])
+def test_prefixes_never_cost_more_on_hard_strata(g, spec, opt, strict):
+    # Every prefix but the last, whose solve costs as much as the whole.
+    c = gen_random_circuit(spec)
+    costs = [cost(Circuit.from_ops(c.num_qubits,
+                                   [(gate.label, gate.qubits) for gate in c.gates[:cut]]),
+                  g, strict)
+             for cut in range(len(c.gates) - 1)]
+    assert costs == sorted(costs)
+    assert costs[-1] <= opt
+
+
+# The added edge on grid33-q6 keeps three non-identity automorphisms, so
+# the orbit filter still prunes there.
+@pytest.mark.parametrize("g, spec, opt, edge", [
+    (*HARD_CASES[0], (10, 12)),
+    (*HARD_CASES[2], (3, 5)),
+], ids=["tokyo-q5", "grid33-q6"])
+@pytest.mark.parametrize("strict", [False, True])
+def test_added_edge_never_raises_optimum_on_hard_strata(g, spec, opt, edge, strict):
+    c = gen_random_circuit(spec)
+    assert not g.has_edge(*edge)
+    assert cost(c, CouplingGraph(g.num_nodes, [*g.edges, edge]), strict) <= opt
 
 
 @CASES
@@ -153,3 +182,10 @@ def test_decide_brackets_optimum_on_a_hard_path():
     g = linear(8)
     assert decide(c, g, 9)
     assert not decide(c, g, 8)
+
+
+def test_decide_brackets_optimum_on_tokyo_q6():
+    # tokyo(), 6 qubits: optimum 2, so the "no" must exhaust bucket 1.
+    c = gen_random_circuit(RandomCircuitSpec(6, 20, 1.0, 1))
+    assert decide(c, tokyo(), 2)
+    assert not decide(c, tokyo(), 1)
