@@ -116,8 +116,13 @@ class CouplingGraph:
             for w, d in enumerate(row):
                 ring[d] |= 1 << w
             rings.append(ring)
-        profile = [sorted(row) for row in dist]
-        same = [sum(1 << w for w in range(n) if profile[w] == profile[v]) for v in range(n)]
+        # Per node, the nodes with the same sorted distance row, grouped in
+        # one pass over the rows.
+        profile = [tuple(sorted(row)) for row in dist]
+        groups: dict[tuple[int, ...], int] = {}
+        for v, key in enumerate(profile):
+            groups[key] = groups.get(key, 0) | 1 << v
+        same = [groups[key] for key in profile]
         identity = tuple(range(n))
         found: list[tuple[int, ...]] = []
         image = [0] * n

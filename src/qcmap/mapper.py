@@ -15,11 +15,14 @@ the first finished fragment is optimal.  States wait in f-buckets, swept
 in increasing f.  Bucket K is seeded with the placements whose h is
 exactly K, found by backtracking over partial placements that keep every
 interacting pair within K+1 hops; at K = 0 that is the embedding test of
-the interaction topology.  A fixed start is the one seed of its search,
-filed in the bucket of its own h.  Inside a bucket states are passed
-one at a time, deepest level first, and when the bucket runs dry the
-next seed is enumerated as its level-0 entry; so the bucket that holds
-the optimum stops at its first finished fragment.
+the interaction topology.  A count comes first: a qubit with d partners
+needs a node with d others within K+1 hops, and if the c-th largest
+degree has fewer than c such nodes (Hall's condition) the bucket has no
+seed and its backtrack never runs.  A fixed start is the one seed of its
+search, filed in the bucket of its own h.  Inside a bucket states are
+passed one at a time, deepest level first, and when the bucket runs dry
+the next seed is enumerated as its level-0 entry; so the bucket that
+holds the optimum stops at its first finished fragment.
 
 States are expanded partially, and a child's f is known before the child
 is built (enhanced partial expansion; Goldenberg et al., JAIR 2014).  Let
@@ -220,6 +223,8 @@ class _CircuitInfo:
         order += [q for q in range(c.num_qubits) if not partners[q]]
         self.order = tuple(order)
         self.degree = tuple(partners[q].bit_count() for q in order)
+        # The same degrees in decreasing order, for the count in _seeds.
+        self.degrees_down = tuple(sorted(self.degree, reverse=True))
         # Per backtrack position: the partners placed before it.
         self.placed_partners = tuple(
             tuple(r for r in order[:i] if partners[q] >> r & 1) for i, q in enumerate(order)
@@ -231,13 +236,16 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int):
 
     Every interacting pair lies within k+1 hops and, for k > 0, some pair
     exactly k+1 hops apart.  Partial placements that break the hop limit
-    are never extended.  A placement is yielded only if, read in backtrack
-    order (``info.order``), it is lexicographically no larger than its
-    image under each of ``graph.automorphisms``; under a complete group
-    that is one placement per orbit, its leader.  The test runs on every
-    prefix, so no placement below a prefix that cannot lead its orbit is
-    built.  Call it with k > 0 only if some pair interacts: with none,
-    every placement has h = 0.
+    are never extended.  Nothing is yielded, and nothing placed, when the
+    degrees fail Hall's condition on the room sets of k+1 hops: the c-th
+    largest degree must have room on at least c nodes.  A placement is
+    yielded only if, read in backtrack order (``info.order``), it is
+    lexicographically no larger than its image under each of
+    ``graph.automorphisms``; under a complete group that is one placement
+    per orbit, its leader.  The test runs on every prefix, so no placement
+    below a prefix that cannot lead its orbit is built.  Call it with
+    k > 0 only if some pair interacts: with none, every placement has
+    h = 0.
     """
     n = graph.num_nodes
     dist = graph.distances
@@ -245,6 +253,11 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int):
     # the nodes with room for all of the qubit's partners.
     reach, room = graph.within(k + 1)
     fits = [room[d] for d in info.degree]
+    # The room sets are nested (room[d] holds room[d + 1]), so this count
+    # is the whole of Hall's condition on them: when it fails, no
+    # placement gives every qubit a distinct node of its fits.
+    if any(room[d].bit_count() < c for c, d in enumerate(info.degrees_down, 1)):
+        return
     order, back, pairs = info.order, info.placed_partners, info.pairs
     num_active, num_qubits = info.num_active, len(order)
     if not num_qubits:

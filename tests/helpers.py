@@ -59,6 +59,16 @@ def random_deg3_connected_graph(rng: random.Random, num_nodes: int,
     return CouplingGraph(num_nodes, edges)
 
 
+def generalized_petersen(n: int, k: int) -> CouplingGraph:
+    """GP(n, k): an outer n-cycle, spokes to inner nodes n..2n-1, and inner
+    node i joined to inner node i+k.  Cubic for k < n/2; GP(5, 2) is the
+    Petersen graph, and GP(n, 2) has no Hamiltonian cycle exactly when
+    n = 5 (mod 6) (Alspach, 1983)."""
+    return CouplingGraph(2 * n, [(i, (i + 1) % n) for i in range(n)]
+                         + [(i, n + i) for i in range(n)]
+                         + [(n + i, n + (i + k) % n) for i in range(n)])
+
+
 def random_cnot_circuit(rng: random.Random, num_qubits: int, num_gates: int) -> Circuit:
     ops = []
     for _ in range(num_gates):

@@ -26,11 +26,15 @@ from qcmap import (
     format_plan,
     gen_clique_circuit,
     gen_cycle_circuit,
+    gen_path_circuit,
     gen_random_circuit,
     grid_square,
+    ham_cycle,
     linear,
     load_plan,
     parse_plan,
+    reduce_hamcycle_to_hampath_qcm,
+    reduce_hamcycle_to_qcm,
     reduce_subcircuit,
     save_plan,
     search_levels,
@@ -44,6 +48,7 @@ from qcmap import (
 from helpers import (
     assert_strict_plan,
     example_circuit,
+    generalized_petersen,
     random_cnot_circuit,
     random_connected_graph,
 )
@@ -472,6 +477,95 @@ class TestSeedOrbitFilter:
         c = gen_random_circuit(RandomCircuitSpec(3, 8, 1.0, 3))
         assert solve_from(c, g, Placement((0, 2, 4))).cost == 4  # buckets 1-4 seeded
         assert "automorphisms" not in vars(g)
+
+
+class TestHallCount:
+    """``_seeds`` refutes bucket k before its backtrack when the qubits'
+    degrees fail Hall's condition on the room sets of k+1 hops: the c-th
+    largest degree needs room on at least c nodes.  The count is restated
+    here from the circuit's gates and the distance table, and checked
+    against placements enumerated with ``itertools.permutations``."""
+
+    @staticmethod
+    def refutes(c, g, k):
+        partners = [set() for _ in range(c.num_qubits)]
+        for gate in c.gates:
+            if len(gate.qubits) == 2:
+                a, b = gate.qubits
+                partners[a].add(b)
+                partners[b].add(a)
+        near = [sum(1 for d in row if 0 < d <= k + 1) for row in g.distances]
+        degrees = sorted((len(p) for p in partners), reverse=True)
+        return any(sum(1 for m in near if m >= d) < i for i, d in enumerate(degrees, 1))
+
+    @staticmethod
+    def cases():
+        """Small circuits on a path, a star, a ring with a pendant node and
+        the Petersen graph: seeded random ones, and path, cycle and clique
+        circuits, which the count refutes on some of them."""
+        star = CouplingGraph(7, [(0, leaf) for leaf in range(1, 7)])
+        ring_pendant = CouplingGraph(7, [*cycle(6).edges, (0, 6)])
+        rng = random.Random(101)
+        for g, most in ((linear(5), 5), (star, 6), (ring_pendant, 7),
+                        (generalized_petersen(5, 2), 5)):
+            for qubits in range(3, most + 1):
+                yield g, gen_path_circuit(qubits)
+                yield g, gen_cycle_circuit(qubits)
+                if qubits <= 5:
+                    yield g, gen_clique_circuit(qubits)
+                    yield g, random_cnot_circuit(rng, qubits, rng.randrange(3, 8))
+
+    def test_budget_zero_matches_every_placement(self):
+        cases = list(self.cases())
+        counted = answers = 0
+        for g, c in cases:
+            pairs = {tuple(gate.qubits) for gate in c.gates if len(gate.qubits) == 2}
+            embeds = any(all(g.has_edge(p[a], p[b]) for a, b in pairs)
+                         for p in itertools.permutations(range(g.num_nodes), c.num_qubits))
+            for strict in (False, True):
+                assert decide(c, g, 0, strict=strict) == embeds, (g, c, strict)
+            counted += self.refutes(c, g, 0)
+            answers += embeds
+        # The count refutes some "no" instances, and the backtrack others.
+        assert 0 < counted < len(cases) - answers, (counted, answers, len(cases))
+
+    def test_refuted_buckets_hold_no_placement(self):
+        from qcmap.mapper import _CircuitInfo, _seeds
+        refuted = 0
+        for g, c in self.cases():
+            info = _CircuitInfo(c)
+            every = None
+            for k in range(g.diameter):
+                if not self.refutes(c, g, k):
+                    continue
+                refuted += 1
+                if every is None:
+                    every = TestSeedOrbitFilter.every_seed(info, g, c.num_qubits)
+                assert not every.get(k), (g, c, k)
+                assert not list(_seeds(info, g, k)), (g, c, k)
+        assert refuted >= 20, refuted
+
+    def test_refuted_bucket_never_backtracks(self):
+        # The count comes before the backtrack reads the orbit filter's
+        # tables, so a budget-0 decide it refutes never computes the group.
+        g = CouplingGraph(7, [*cycle(6).edges, (0, 6)])
+        c = gen_cycle_circuit(7)
+        assert self.refutes(c, g, 0)
+        assert not decide(c, g, 0)
+        assert "automorphisms" not in vars(g)
+
+    def test_count_leaves_exhaustive_refutation(self):
+        # Cubic sources with no Hamiltonian cycle: enough nodes have room
+        # for every qubit's degree, so the count passes and only the
+        # backtrack says "no".
+        petersen, gp11 = generalized_petersen(5, 2), generalized_petersen(11, 2)
+        for source, reduce in ((petersen, reduce_hamcycle_to_qcm),
+                               (petersen, reduce_hamcycle_to_hampath_qcm),
+                               (gp11, reduce_hamcycle_to_qcm)):
+            inst = reduce(source)
+            assert not self.refutes(inst.circuit, inst.graph, 0), (source, reduce)
+            assert not decide(inst.circuit, inst.graph, 0), (source, reduce)
+            assert ham_cycle(source) is None, source
 
 
 class TestSeedDominance:

@@ -11,7 +11,12 @@ checks the same instances.  Reversal and the prefix relation are also
 checked on three fixed instances of the hard 5-6 qubit strata, free and
 strict, and an added edge on two of them; ``decide`` at the optimum and
 one below on a 7-qubit path instance and a 6-qubit ``tokyo()`` instance.
+Budget-0 reduction instances, "yes" and "no", are checked under node
+relabelling and an added edge: their "no" answers come from the seed
+count (Hall's condition on the room sets) or from an exhaustive backtrack.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,11 +32,14 @@ from qcmap import (
     gen_random_circuit,
     grid_square,
     linear,
+    reduce_clique_to_qcm,
+    reduce_hamcycle_to_hampath_qcm,
+    reduce_hamcycle_to_qcm,
     solve_exact,
     tokyo,
 )
 
-from helpers import assert_strict_plan
+from helpers import assert_strict_plan, generalized_petersen, random_deg3_connected_graph
 
 GRAPHS = [grid_square(3, 3), aspen(), cycle(6), linear(6), tokyo()]
 # Gate counts per qubit count: enough for optima up to 4, few enough that
@@ -189,3 +197,52 @@ def test_decide_brackets_optimum_on_tokyo_q6():
     c = gen_random_circuit(RandomCircuitSpec(6, 20, 1.0, 1))
     assert decide(c, tokyo(), 2)
     assert not decide(c, tokyo(), 1)
+
+
+def reduction_cases():
+    """Budget-0 reduction instances: the Hamiltonian-cycle question, asked
+    directly and through a Hamiltonian path, and a 3- or 4-clique question,
+    on seeded graphs of degree at most 3, the same graphs with a pendant
+    node (so no Hamiltonian cycle), and the Petersen graph."""
+    rng = random.Random(211)
+    sources = [generalized_petersen(5, 2)]
+    for _ in range(10):
+        n = rng.randrange(6, 10)
+        g = random_deg3_connected_graph(rng, n, rng.randrange(2, n))
+        sources.append(g)
+        low = [v for v in range(n) if len(g.neighbors[v]) < 3]
+        if low:
+            sources.append(CouplingGraph(n + 1, [*g.edges, (rng.choice(low), n)]))
+    cases = []
+    for i, g in enumerate(sources):
+        cases += [reduce_hamcycle_to_qcm(g), reduce_hamcycle_to_hampath_qcm(g),
+                  reduce_clique_to_qcm(g, 3 + i % 2)]
+    return [(inst.provenance.split(";")[0], inst.circuit, inst.graph) for inst in cases]
+
+
+REDUCTIONS = reduction_cases()
+
+
+def test_node_relabelling_keeps_reduction_answers():
+    rng = random.Random(223)
+    seen = set()
+    for kind, c, g in REDUCTIONS:
+        perm = rng.sample(range(g.num_nodes), g.num_nodes)
+        relabelled = CouplingGraph(g.num_nodes, [(perm[a], perm[b]) for a, b in g.edges])
+        answer = decide(c, g, 0)
+        assert decide(c, relabelled, 0) == answer, (kind, g, perm)
+        seen.add((kind, answer))
+    assert seen == {(kind, answer) for kind, _, _ in REDUCTIONS for answer in (False, True)}
+
+
+def test_added_edge_never_turns_a_reduction_yes_into_no():
+    rng = random.Random(227)
+    yes = 0
+    for kind, c, g in REDUCTIONS:
+        missing = [(a, b) for a in range(g.num_nodes) for b in range(a + 1, g.num_nodes)
+                   if not g.has_edge(a, b)]
+        denser = CouplingGraph(g.num_nodes, [*g.edges, rng.choice(missing)])
+        if decide(c, g, 0):
+            yes += 1
+            assert decide(c, denser, 0), (kind, g, denser)
+    assert yes >= 10, yes
