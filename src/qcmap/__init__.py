@@ -9,14 +9,17 @@ from .bench import (
 from .circuits import (
     Circuit, DependencyGraph, Gate, LayerPartition, TopologyGraph,
     build_dependency_graph, build_layers, build_topology_graph,
-    format_circuit, load_circuit, parse_circuit, save_circuit,
 )
 from .coupling import (
-    FAMILIES, CouplingGraph, aspen, clique, cycle, format_graph, gen,
-    grid_hex, grid_square, grid_triangle, linear, load_graph, parse_graph,
-    save_graph, tokyo,
+    FAMILIES, CouplingGraph, aspen, clique, cycle, gen, grid_hex, grid_square,
+    grid_triangle, linear, tokyo,
 )
 from .errors import ParseError, ResourceLimitError
+from .formats import (
+    format_circuit, format_graph, format_plan, load_circuit, load_graph,
+    load_plan, parse_circuit, parse_graph, parse_plan, save_circuit,
+    save_graph, save_plan,
+)
 from .gadgets import (
     Digraph, ReductionInstance, build_usp_gadget, check_fixed_k_instance,
     check_usp_instance, circuit_from_degree_bounded_graph, fixed_k_witness_plan,
@@ -27,8 +30,7 @@ from .gadgets import (
 )
 from .mapper import (
     DEFAULT_STATE_CAP, MapResult, Placement, SearchState, SwapPlan,
-    decide, format_plan, load_plan, parse_plan, save_plan, search_levels,
-    solve_exact, solve_from, upper_bound,
+    decide, search_levels, solve_exact, solve_from, upper_bound,
 )
 from .oracle import (
     VerificationReport, brute_force_g, ham_cycle, ham_path,

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ParseError
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -27,7 +25,7 @@ class Gate:
     qubits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.label or any(ch.isspace() for ch in self.label) or self.label.startswith("#"):
+        if not self.label or any(ch.isspace() for ch in self.label) or "#" in self.label:
             raise ValueError(f"bad gate label {self.label!r}")
         if len(self.qubits) not in (1, 2):
             raise ValueError(f"gate {self.index}: expected 1 or 2 operands, got {len(self.qubits)}")
@@ -183,65 +181,3 @@ def build_topology_graph(c: Circuit) -> TopologyGraph:
             a, b = g.qubits
             edges.add((min(a, b), max(a, b)))
     return TopologyGraph(c.num_qubits, frozenset(edges))
-
-
-# --- text format ------------------------------------------------------------
-#
-#   # comment
-#   qubits 4
-#   h 0
-#   cx 0 1
-#
-# One gate per line: label then 1 or 2 qubit indices.
-
-
-def parse_circuit(text: str) -> Circuit:
-    num_qubits: int | None = None
-    gates: list[Gate] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if num_qubits is None:
-            if tokens[0] != "qubits" or len(tokens) != 2:
-                raise ParseError("expected 'qubits <n>' header", lineno)
-            try:
-                num_qubits = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"bad qubit count {tokens[1]!r}", lineno) from None
-            if num_qubits < 0:
-                raise ParseError("qubit count must be >= 0", lineno)
-            continue
-        if len(tokens) not in (2, 3):
-            raise ParseError("expected '<label> <q>' or '<label> <q1> <q2>'", lineno)
-        try:
-            qubits = tuple(int(t) for t in tokens[1:])
-        except ValueError:
-            raise ParseError(f"bad qubit index in {line!r}", lineno) from None
-        if any(q >= num_qubits for q in qubits):
-            raise ParseError(f"qubit index outside [0, {num_qubits})", lineno)
-        try:
-            gates.append(Gate(len(gates), tokens[0], qubits))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-    if num_qubits is None:
-        raise ParseError("missing 'qubits <n>' header")
-    return Circuit(num_qubits, gates)
-
-
-def format_circuit(c: Circuit) -> str:
-    lines = [f"qubits {c.num_qubits}"]
-    for g in c.gates:
-        lines.append(" ".join([g.label, *map(str, g.qubits)]))
-    return "\n".join(lines) + "\n"
-
-
-def load_circuit(path: str) -> Circuit:
-    with open(path, encoding="utf-8") as fh:
-        return parse_circuit(fh.read())
-
-
-def save_circuit(c: Circuit, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_circuit(c))

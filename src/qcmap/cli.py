@@ -12,15 +12,15 @@ import sys
 from pathlib import Path
 
 from .bench import emit_csv, gen_random_circuit, run_benchmark, RandomCircuitSpec
-from .circuits import format_circuit, load_circuit
-from .coupling import FAMILIES, format_graph, gen, load_graph
+from .coupling import FAMILIES, gen
 from .errors import ParseError, ResourceLimitError
+from .formats import format_circuit, format_graph, load_circuit, load_graph, load_plan, save_plan
 from .gadgets import (
     gen_clique_circuit, gen_cycle_circuit, gen_path_circuit,
     reduce_clique_to_qcm, reduce_hamcycle_to_fixed_k, reduce_hamcycle_to_hampath_qcm,
     reduce_hamcycle_to_qcm, reduce_usp_to_qcm, save_instance,
 )
-from .mapper import DEFAULT_STATE_CAP, decide, load_plan, save_plan, solve_exact
+from .mapper import DEFAULT_STATE_CAP, decide, solve_exact
 from .oracle import verify_plan
 
 

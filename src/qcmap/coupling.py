@@ -10,8 +10,6 @@ from __future__ import annotations
 from collections import deque
 from functools import cached_property
 
-from .errors import ParseError
-
 
 class CouplingGraph:
     """Immutable undirected connected graph with precomputed metrics."""
@@ -178,9 +176,14 @@ class CouplingGraph:
         if found is None:
             reach = tuple(sum(1 << w for w, d in enumerate(row) if 0 < d <= hops)
                           for row in self.distances)
-            fits = tuple(sum(1 << x for x, near in enumerate(reach) if near.bit_count() >= c)
-                         for c in range(self.num_nodes + 1))
-            found = self._within[hops] = reach, fits
+            # File each node under its own count, then OR the masks down
+            # from the top count, so fits[c] holds every count >= c.
+            fits = [0] * (self.num_nodes + 1)
+            for x, near in enumerate(reach):
+                fits[near.bit_count()] |= 1 << x
+            for c in range(self.num_nodes - 1, -1, -1):
+                fits[c] |= fits[c + 1]
+            found = self._within[hops] = reach, tuple(fits)
         return found
 
     def distance(self, a: int, b: int) -> int:
@@ -262,32 +265,19 @@ def grid_hex(rows: int, cols: int) -> CouplingGraph:
     """
     if rows < 1 or cols < 1:
         raise ValueError("grid extent must be >= 1 in both directions")
-    points: dict[tuple[int, int], int] = {}
-    edge_set: set[tuple[int, int]] = set()
-
-    # Corner points keyed (row, x) and numbered row-major.
-    corner_keys = set()
+    # Edges between corner points keyed (row, x); the points are then
+    # numbered row-major.
+    pairs = set()
     for r in range(rows):
         for c in range(cols):
-            x0 = 2 * c + (r % 2)
-            for dx in (0, 1, 2):
-                corner_keys.add((r, x0 + dx))
-                corner_keys.add((r + 1, x0 + dx))
-    for i, key in enumerate(sorted(corner_keys)):
-        points[key] = i
-
-    def node(y: int, x: int) -> int:
-        return points[(y, x)]
-
-    for r in range(rows):
-        for c in range(cols):
-            x0 = 2 * c + (r % 2)
-            top = [node(r, x0 + dx) for dx in (0, 1, 2)]
-            bot = [node(r + 1, x0 + dx) for dx in (0, 1, 2)]
-            for a, b in ((top[0], top[1]), (top[1], top[2]), (bot[0], bot[1]),
-                         (bot[1], bot[2]), (top[0], bot[0]), (top[2], bot[2])):
-                edge_set.add((min(a, b), max(a, b)))
-    return CouplingGraph(len(points), edge_set)
+            x = 2 * c + r % 2
+            for y in (r, r + 1):
+                pairs.add(((y, x), (y, x + 1)))
+                pairs.add(((y, x + 1), (y, x + 2)))
+            pairs.add(((r, x), (r + 1, x)))
+            pairs.add(((r, x + 2), (r + 1, x + 2)))
+    number = {key: i for i, key in enumerate(sorted({key for pair in pairs for key in pair}))}
+    return CouplingGraph(len(number), [(number[a], number[b]) for a, b in pairs])
 
 
 def grid_triangle(rows: int, cols: int) -> CouplingGraph:
@@ -361,57 +351,3 @@ def gen(family: str, *params: int) -> CouplingGraph:
         noun = "parameter" if arity == 1 else "parameters"
         raise ValueError(f"{family} takes {arity} size {noun}, got {len(params)}")
     return make(*params)
-
-
-# --- text format ------------------------------------------------------------
-#
-#   nodes 5
-#   edge 0 1
-
-
-def parse_graph(text: str) -> CouplingGraph:
-    num_nodes: int | None = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if num_nodes is None:
-            if tokens[0] != "nodes" or len(tokens) != 2:
-                raise ParseError("expected 'nodes <n>' header", lineno)
-            try:
-                num_nodes = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"bad node count {tokens[1]!r}", lineno) from None
-            continue
-        if tokens[0] != "edge" or len(tokens) != 3:
-            raise ParseError("expected 'edge <a> <b>'", lineno)
-        try:
-            a, b = int(tokens[1]), int(tokens[2])
-        except ValueError:
-            raise ParseError(f"bad node index in {line!r}", lineno) from None
-        edges.append((a, b))
-    if num_nodes is None:
-        raise ParseError("missing 'nodes <n>' header")
-    try:
-        return CouplingGraph.from_edge_list(num_nodes, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-
-
-def format_graph(g: CouplingGraph) -> str:
-    lines = [f"nodes {g.num_nodes}"]
-    for a, b in g.sorted_edges:
-        lines.append(f"edge {a} {b}")
-    return "\n".join(lines) + "\n"
-
-
-def load_graph(path: str) -> CouplingGraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
-
-
-def save_graph(g: CouplingGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(g))

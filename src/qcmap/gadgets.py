@@ -9,9 +9,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .circuits import Circuit
-from .circuits import load_circuit, save_circuit
-from .coupling import CouplingGraph, format_graph, load_graph, save_graph
+from .coupling import CouplingGraph
 from .errors import ParseError
+from .formats import format_graph, load_circuit, load_graph, save_circuit, save_graph
 from .mapper import Placement, SwapPlan
 from .oracle import VerificationReport, ham_cycle, shortest_path, shortest_path_nodes, verify_plan
 

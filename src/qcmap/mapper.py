@@ -90,7 +90,7 @@ from dataclasses import dataclass
 
 from .circuits import Circuit
 from .coupling import CouplingGraph
-from .errors import ParseError, ResourceLimitError
+from .errors import ResourceLimitError
 from .subcircuits import Subcircuit, SubcircuitDescriptor, descriptor
 
 DEFAULT_STATE_CAP = 1_000_000
@@ -706,67 +706,3 @@ def search_levels(c: Circuit, g: CouplingGraph, p0: Placement | None = None, *,
     _solve(c, g, start=p0, strict=strict, budget=None, state_cap=state_cap,
            on_level=snap)
     return collected
-
-
-# --- plan text format -------------------------------------------------------
-#
-#   init 0:3 1:2 2:0
-#   swap 3 2
-
-
-def parse_plan(text: str) -> SwapPlan:
-    initial: Placement | None = None
-    swaps: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if initial is None:
-            if tokens[0] != "init":
-                raise ParseError("expected 'init <q>:<node> ...' first", lineno)
-            mapping: dict[int, int] = {}
-            for tok in tokens[1:]:
-                try:
-                    q_s, p_s = tok.split(":")
-                    q, p = int(q_s), int(p_s)
-                except ValueError:
-                    raise ParseError(f"bad pair {tok!r}", lineno) from None
-                if q in mapping:
-                    raise ParseError(f"qubit {q} mapped twice", lineno)
-                mapping[q] = p
-            if sorted(mapping) != list(range(len(mapping))):
-                raise ParseError("init must cover qubits 0..n-1", lineno)
-            try:
-                initial = Placement(tuple(mapping[q] for q in range(len(mapping))))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            continue
-        if tokens[0] != "swap" or len(tokens) != 3:
-            raise ParseError("expected 'swap <a> <b>'", lineno)
-        try:
-            a, b = int(tokens[1]), int(tokens[2])
-        except ValueError:
-            raise ParseError(f"bad node index in {line!r}", lineno) from None
-        swaps.append((a, b))
-    if initial is None:
-        raise ParseError("missing 'init' line")
-    return SwapPlan(initial, tuple(swaps))
-
-
-def format_plan(plan: SwapPlan) -> str:
-    pairs = " ".join(f"{q}:{p}" for q, p in enumerate(plan.initial.to_physical))
-    lines = [("init " + pairs).rstrip()]
-    for a, b in plan.swaps:
-        lines.append(f"swap {a} {b}")
-    return "\n".join(lines) + "\n"
-
-
-def load_plan(path: str) -> SwapPlan:
-    with open(path, encoding="utf-8") as fh:
-        return parse_plan(fh.read())
-
-
-def save_plan(plan: SwapPlan, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_plan(plan))

@@ -22,6 +22,8 @@ class TestGate:
             Gate(0, "", (0,))
         with pytest.raises(ValueError):
             Gate(0, "c x", (0, 1))
+        with pytest.raises(ValueError):  # '#' starts a comment in the text format
+            Gate(0, "c#x", (0, 1))
 
     def test_rejects_bad_operands(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -104,6 +105,24 @@ class TestFamilies:
         assert grid_hex(1, 1).num_nodes == 6
         assert len(grid_hex(1, 1).edges) == 6
 
+    # sha256 prefixes of format_graph(grid_hex(r, c)): a saved graph file,
+    # and every plan on it, keeps its meaning only while the numbering holds.
+    HEX_DIGESTS = {
+        (1, 1): "92503a469868e476", (1, 2): "be5586c839cf093d",
+        (1, 3): "c8cd710ebb32532b", (1, 4): "7d5a16704b824f64",
+        (2, 1): "e8c465ba0e6e6df6", (2, 2): "c7d64f9661ec712a",
+        (2, 3): "fa44298b04067525", (2, 4): "6d5f3575e11809a3",
+        (3, 1): "7ca84dbb2e0b5fe4", (3, 2): "055ff7d886cb91f4",
+        (3, 3): "908c75d5548e2cf5", (3, 4): "fb785e7dcc93b8ce",
+        (4, 1): "9f3dd83c7aa1416f", (4, 2): "b8344287e7ce7a30",
+        (4, 3): "65c0e72de3634363", (4, 4): "488c7f9c206189b4",
+    }
+
+    def test_grid_hex_numbering_is_fixed(self):
+        for (r, c), digest in self.HEX_DIGESTS.items():
+            text = format_graph(grid_hex(r, c))
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (r, c)
+
     def test_grid_triangle(self):
         g = grid_triangle(2, 2)
         assert g.num_nodes == 9
@@ -167,6 +186,27 @@ class TestMetrics:
         for v in range(4):
             mask = g.adjacency_masks[v]
             assert {w for w in range(4) if mask >> w & 1} == set(g.neighbors[v])
+
+
+class TestWithin:
+    def test_room_tables_match_distances(self):
+        # The definition, restated from the distance table: reach[v] holds
+        # the other nodes at most hops away, fits[c] the nodes that reach at
+        # least c of them.
+        rng = random.Random(76)
+        graphs = [tokyo(), aspen(), linear(7), grid_square(3, 4), cycle(9), clique(6),
+                  CouplingGraph(12, [(0, leaf) for leaf in range(1, 12)]),
+                  *(random_connected_graph(rng, rng.randrange(2, 12), rng.randrange(0, 8))
+                    for _ in range(8))]
+        for g in graphs:
+            n = g.num_nodes
+            for hops in range(g.diameter + 2):
+                reach, fits = g.within(hops)
+                near = [{w for w in range(n) if w != v and g.distance(v, w) <= hops}
+                        for v in range(n)]
+                assert reach == tuple(sum(1 << w for w in ws) for ws in near), (g, hops)
+                assert fits == tuple(sum(1 << v for v in range(n) if len(near[v]) >= c)
+                                     for c in range(n + 1)), (g, hops)
 
 
 class TestAutomorphisms:
