@@ -10,9 +10,11 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing.util import Finalize
 from random import Random
 
 from .circuits import Circuit
@@ -99,6 +101,49 @@ def _solve_chunk(args: tuple) -> tuple[int, float]:
     return total, elapsed
 
 
+# The pool of the last parallel call, kept for the next one that needs as
+# many workers: (workers, pool, finalizer that shuts the pool down).
+_kept: tuple[int, ProcessPoolExecutor, Finalize] | None = None
+_kept_lock = threading.Lock()
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The kept pool if it has `workers` workers, else a new pool, kept."""
+    global _kept
+    if _kept is not None and _kept[0] == workers:
+        return _kept[1]
+    _close_pool()
+    pool = ProcessPoolExecutor(max_workers=workers)
+    # On exit, multiprocessing runs the finalizers of priority >= 0, highest
+    # first, and then joins this process's children, pool workers included.
+    # Queues close at priority 10, so the pool must be shut down above it, or
+    # a multiprocessing child that built a pool never exits.
+    close = Finalize(None, pool.shutdown, kwargs={"cancel_futures": True},
+                     exitpriority=20)
+    _kept = (workers, pool, close)
+    return pool
+
+
+def _close_pool() -> None:
+    """Shut the kept pool down and wait for its workers to exit."""
+    global _kept
+    kept, _kept = _kept, None
+    if kept is not None:
+        kept[2]()
+
+
+def _forget_pool() -> None:
+    # A forked child has the parent's pool object but none of the threads
+    # that drive it, and its finalizer runs only in the parent.  The child
+    # builds its own pool when it needs one.
+    global _kept, _kept_lock
+    _kept = None
+    _kept_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
 def run_benchmark(qubits: int, gate_range, samples: int, seed: int, *,
                   two_qubit_fraction: float = 1.0, graph_nodes: int | None = None,
                   threads: int = 1, state_cap: int = DEFAULT_STATE_CAP,
@@ -107,7 +152,9 @@ def run_benchmark(qubits: int, gate_range, samples: int, seed: int, *,
     (graph_nodes nodes, default one per qubit) and average the costs.
 
     All gate counts share one process pool of min(threads, CPUs, chunks)
-    workers; with one worker the solves run in this process.
+    workers; with one worker the solves run in this process.  The pool is
+    kept for later calls that need as many workers, rebuilt when the count
+    changes or a call raised, and shut down when this process exits.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -131,8 +178,12 @@ def run_benchmark(qubits: int, gate_range, samples: int, seed: int, *,
     if workers <= 1:
         parts = [_solve_chunk(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_solve_chunk, jobs))
+        with _kept_lock:
+            try:
+                parts = list(_pool(workers).map(_solve_chunk, jobs))
+            except BaseException:
+                _close_pool()
+                raise
     totals = {gt: [0, 0.0] for gt in gates}
     for job, (total, elapsed) in zip(jobs, parts):
         acc = totals[job[1]]

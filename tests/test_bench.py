@@ -1,5 +1,7 @@
 import pytest
 
+import bench_lifecycle
+import qcmap.bench
 from qcmap import (
     CSV_HEADER,
     ExperimentRow,
@@ -15,6 +17,14 @@ from qcmap import (
 
 def strip_time(rows):
     return [(r.gt, r.qt, r.gt_add, r.samples, r.seed) for r in rows]
+
+
+@pytest.fixture
+def no_kept_pool():
+    """No pool kept by an earlier call leaks into the test, nor out of it."""
+    qcmap.bench._close_pool()
+    yield
+    qcmap.bench._close_pool()
 
 
 class TestRandomCircuits:
@@ -81,43 +91,47 @@ class TestRunBenchmark:
         rows = run_benchmark(3, [4], 8, seed=11, graph_nodes=5)
         assert rows[0].qt == 3
 
-    def test_one_pool_per_call_clamped_to_cpus_and_chunks(self, monkeypatch):
+    def test_pool_kept_until_its_size_changes(self, no_kept_pool, monkeypatch):
         import qcmap.bench as bench
 
         pools = []
 
         class InlinePool:
-            """Records its size and runs the jobs in this process."""
+            """Records its size and shutdown and runs the jobs in this process."""
 
             def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+                self.size = max_workers
+                self.shut = False
+                pools.append(self)
 
             def map(self, fn, jobs):
                 return map(fn, jobs)
+
+            def shutdown(self, **kwargs):
+                self.shut = True
+
+        def sizes():
+            return [(p.size, p.shut) for p in pools]
 
         monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)
         expected = strip_time(run_benchmark(3, range(3, 7), 5, seed=2))
         # 3 CPUs: 4 gate counts x 3 chunks = 12 jobs
         assert strip_time(run_benchmark(3, range(3, 7), 5, seed=2, threads=10_000)) == expected
-        assert pools == [3]
-        # 1 gate count x 2 chunks = 2 jobs
+        assert sizes() == [(3, False)]
+        run_benchmark(3, [3, 4], 4, seed=2, threads=3)
+        assert sizes() == [(3, False)]
+        # 1 gate count x 2 chunks = 2 jobs: a new pool, and the old one shut down
         run_benchmark(3, [4], 2, seed=2, threads=10_000)
-        assert pools == [3, 2]
+        assert sizes() == [(3, True), (2, False)]
         run_benchmark(3, range(3, 7), 5, seed=2, threads=2)
-        assert pools == [3, 2, 2]
+        assert sizes() == [(3, True), (2, False)]
         # a single worker runs in this process, without a pool
         monkeypatch.setattr(bench.os, "cpu_count", lambda: 1)
         assert strip_time(run_benchmark(3, range(3, 7), 5, seed=2, threads=8)) == expected
-        assert pools == [3, 2, 2]
+        assert sizes() == [(3, True), (2, False)]
 
-    def test_validation(self, monkeypatch):
+    def test_validation(self, no_kept_pool, monkeypatch):
         import qcmap.bench as bench
 
         with pytest.raises(ValueError):
@@ -133,6 +147,12 @@ class TestRunBenchmark:
         for threads in (1, 2):
             with pytest.raises(ValueError, match="graph_nodes"):
                 run_benchmark(4, [3], 2, seed=1, graph_nodes=3, threads=threads)
+
+
+@pytest.mark.parametrize("case", bench_lifecycle.CASES)
+def test_kept_pool_lifecycle(case):
+    """Each case runs in its own interpreter; see tests/bench_lifecycle.py."""
+    bench_lifecycle.run_case(case)
 
 
 class TestCsv:
