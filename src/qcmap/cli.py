@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .bench import emit_csv, gen_random_circuit, run_benchmark, RandomCircuitSpec
 from .coupling import FAMILIES, gen
-from .errors import ParseError, ResourceLimitError
+from .errors import ResourceLimitError
 from .formats import format_circuit, format_graph, load_circuit, load_graph, load_plan, save_plan
 from .gadgets import (
     gen_clique_circuit, gen_cycle_circuit, gen_path_circuit,
@@ -51,7 +51,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             print("error: no plan to write (infeasible instance)", file=sys.stderr)
             return 2
         report = verify_plan(c, g, res.plan)
-        if not report.accepted or report.swaps_used != res.cost:
+        if (not report.accepted or report.swaps_used != res.cost
+                or args.strict_swaps and not report.strict):
             print("error: self-verification of the solved plan failed", file=sys.stderr)
             return 2
         save_plan(res.plan, args.plan)
@@ -225,9 +226,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -290,17 +290,9 @@ def grid_triangle(rows: int, cols: int) -> CouplingGraph:
     if rows < 1 or cols < 1:
         raise ValueError("grid extent must be >= 1 in both directions")
     width = cols + 1
-    edges = []
-    for r in range(rows + 1):
-        for c in range(cols + 1):
-            v = r * width + c
-            if c + 1 <= cols:
-                edges.append((v, v + 1))
-            if r + 1 <= rows:
-                edges.append((v, v + width))
-            if c + 1 <= cols and r + 1 <= rows:
-                edges.append((v, v + width + 1))
-    return CouplingGraph((rows + 1) * width, edges)
+    diagonals = [(r * width + c, (r + 1) * width + c + 1)
+                 for r in range(rows) for c in range(cols)]
+    return CouplingGraph((rows + 1) * width, [*grid_square(rows + 1, width).edges, *diagonals])
 
 
 def tokyo() -> CouplingGraph:

@@ -19,10 +19,12 @@ the interaction topology.  A count comes first: a qubit with d partners
 needs a node with d others within K+1 hops, and if the c-th largest
 degree has fewer than c such nodes (Hall's condition) the bucket has no
 seed and its backtrack never runs.  A fixed start is the one seed of its
-search, filed in the bucket of its own h.  Inside a bucket states are
-passed one at a time, deepest level first, and when the bucket runs dry
-the next seed is enumerated as its level-0 entry; so the bucket that
-holds the optimum stops at its first finished fragment.
+search, in the bucket of its own h.  ``_seeds`` decides both, so every
+search sweeps the buckets from 0 and records each seed it is given.
+Inside a bucket states are passed one at a time, deepest level first,
+and when the bucket runs dry the next seed is enumerated as its level-0
+entry; so the bucket that holds the optimum stops at its first finished
+fragment.
 
 States are expanded partially, and a child's f is known before the child
 is built (enhanced partial expansion; Goldenberg et al., JAIR 2014).  Let
@@ -59,12 +61,16 @@ it, at level 0.  A state reached at level L >= 1 that equals the seed
 state of its own placement is dropped before the closed map sees it: a
 plan through it costs L more than the same plan started there, and
 every state on an optimal plan sits at its lowest reachable level.  For
-the same reason a seed that runs no gate is neither expanded, filed nor
-reported, since each of its children is the seed state of its own
-placement (the empty circuit, which runs no gate yet is finished, is the
-exception).  Both rules depend on a placement's adjacency alone, so they
-commute with the orbit filter below.  A fixed start is the one seed its
-search has, so fixed-start searches keep every state.
+the same reason a seed that runs no gate is never built, since each of
+its children is the seed state of its own placement (the empty circuit,
+which runs no gate yet is finished, is the exception).  A placement runs
+a gate iff one of the front gates, those sharing no qubit with an
+earlier gate, is single-qubit or has adjacent operands; so the seed
+backtrack drops one that runs none as soon as the interacting qubits are
+placed, before the idle ones.  Both rules depend on a placement's
+adjacency alone, so they commute with the orbit filter below.  A fixed
+start is the one seed its search has, so fixed-start searches keep every
+state.
 
 Seeds are filtered by the coupling graph's symmetry.  A graph
 automorphism keeps every distance, so it keeps h and the cost of every
@@ -173,8 +179,9 @@ class SearchState:
 
 
 class _CircuitInfo:
-    """Preprocessed per-solve tables: operand pairs, per-gate qubit masks
-    and the qubit order of the seed backtrack."""
+    """Preprocessed per-solve tables: operand pairs, the front gates'
+    pairs, per-gate qubit masks and the qubit order of the seed
+    backtrack."""
 
     def __init__(self, c: Circuit):
         self.all_qubits = (1 << c.num_qubits) - 1
@@ -182,15 +189,18 @@ class _CircuitInfo:
         self.full_mask = (1 << len(c.gates)) - 1
         # Per gate: the bitmask of its qubits and the index of its operand
         # pair among the distinct pairs in order of first use (-1 for
-        # single-qubit gates).
+        # single-qubit gates).  The front gates are those that share no
+        # qubit with an earlier gate: a placement runs a gate iff one of
+        # them is single-qubit or has adjacent operands.
         index: dict[tuple[int, int], int] = {}
         partners = [0] * c.num_qubits
         gate_qubits = []
         gate_pair = []
+        front, seen = [], 0
         for g in c.gates:
             if len(g.qubits) == 2:
                 a, b = g.qubits
-                gate_qubits.append(1 << a | 1 << b)
+                qs = 1 << a | 1 << b
                 key = (a, b) if a < b else (b, a)
                 pi = index.get(key)
                 if pi is None:
@@ -199,17 +209,24 @@ class _CircuitInfo:
                     partners[b] |= 1 << a
                 gate_pair.append(pi)
             else:
-                gate_qubits.append(1 << g.qubits[0])
+                qs = 1 << g.qubits[0]
                 gate_pair.append(-1)
+            gate_qubits.append(qs)
+            if not qs & seen:
+                front.append(g.qubits)
+            seen |= qs
         self.gate_qubits = tuple(gate_qubits)
         self.gate_pair = tuple(gate_pair)
         self.pairs = list(index)
-        # Seed backtrack order: the interacting qubits, each next one the
-        # qubit with most partners already placed (then most partners, then
-        # lowest index), followed by the idle qubits.
+        # The front gates' operand pairs; none when every placement runs a
+        # gate, because a front gate is single-qubit or the circuit is empty.
+        self.front_pairs = tuple(front) if all(len(qs) == 2 for qs in front) else ()
+        # Seed backtrack order: each next qubit the one with most partners
+        # already placed, then most partners, then lowest index; so the idle
+        # qubits come last.
         order: list[int] = []
         placed = 0
-        rest = [q for q in range(c.num_qubits) if partners[q]]
+        rest = list(range(c.num_qubits))
         while rest:
             best, best_key = -1, (-1, -1)
             for q in rest:
@@ -219,8 +236,7 @@ class _CircuitInfo:
             order.append(best)
             rest.remove(best)
             placed |= 1 << best
-        self.num_active = len(order)
-        order += [q for q in range(c.num_qubits) if not partners[q]]
+        self.num_active = len(partners) - partners.count(0)
         self.order = tuple(order)
         self.degree = tuple(partners[q].bit_count() for q in order)
         # The same degrees in decreasing order, for the count in _seeds.
@@ -231,22 +247,32 @@ class _CircuitInfo:
         )
 
 
-def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int):
-    """Initial placements with h exactly k, in backtracking order.
+def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, ...] | None = None):
+    """The seeds of bucket k: initial placements with h exactly k.
 
-    Every interacting pair lies within k+1 hops and, for k > 0, some pair
-    exactly k+1 hops apart.  Partial placements that break the hop limit
-    are never extended.  Nothing is yielded, and nothing placed, when the
-    degrees fail Hall's condition on the room sets of k+1 hops: the c-th
-    largest degree must have room on at least c nodes.  A placement is
-    yielded only if, read in backtrack order (``info.order``), it is
-    lexicographically no larger than its image under each of
+    A fixed ``start`` is its search's one seed: it is yielded, unfiltered,
+    in the bucket of its own h and in no other.  Otherwise the seeds are
+    enumerated in backtracking order.  Every interacting pair lies within
+    k+1 hops and, for k > 0, some pair exactly k+1 hops apart.  Partial
+    placements that break the hop limit are never extended.  Nothing is
+    yielded, and nothing placed, when the degrees fail Hall's condition on
+    the room sets of k+1 hops: the c-th largest degree must have room on
+    at least c nodes.  A placement that runs no gate (no pair of
+    ``info.front_pairs`` adjacent) is dropped once its interacting qubits
+    are placed, before the idle ones: each of its SWAP children is the
+    seed state of its own placement (see the module docstring).  A
+    placement is yielded only if, read in backtrack order (``info.order``),
+    it is lexicographically no larger than its image under each of
     ``graph.automorphisms``; under a complete group that is one placement
     per orbit, its leader.  The test runs on every prefix, so no placement
     below a prefix that cannot lead its orbit is built.  Call it with
     k > 0 only if some pair interacts: with none, every placement has
     h = 0.
     """
+    if start is not None:
+        if max([graph.distances[start[a]][start[b]] for a, b in info.pairs], default=1) - 1 == k:
+            yield start
+        return
     n = graph.num_nodes
     dist = graph.distances
     # Per node, the other nodes within k+1 hops; per backtrack position,
@@ -258,7 +284,7 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int):
     # placement gives every qubit a distinct node of its fits.
     if any(room[d].bit_count() < c for c, d in enumerate(info.degrees_down, 1)):
         return
-    order, back, pairs = info.order, info.placed_partners, info.pairs
+    order, back, pairs, front = info.order, info.placed_partners, info.pairs, info.front_pairs
     num_active, num_qubits = info.num_active, len(order)
     if not num_qubits:
         yield ()
@@ -300,8 +326,9 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int):
         x = low.bit_length() - 1
         pos[order[i]] = x
         i += 1
-        if i == num_active and all(dist[pos[a]][pos[b]] <= k for a, b in pairs):
-            i -= 1  # every pair within k hops: a seed of a lower bucket
+        if i == num_active and (all(dist[pos[a]][pos[b]] <= k for a, b in pairs) or
+                                front and all(dist[pos[a]][pos[b]] > 1 for a, b in front)):
+            i -= 1  # a seed of a lower bucket, or one that runs no gate
             continue
         if i == num_qubits:
             i -= 1
@@ -325,19 +352,19 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int):
 
 
 def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | None, *,
-            strict: bool, bound: int | None, state_cap: int, on_level=None):
+            strict: bool, bound: int | float, state_cap: int, on_level=None):
     """The search engine: best-first over (placement, fragment) states,
     with enhanced partial expansion (see the module docstring).
 
-    A free search (``start`` None) takes its seeds from ``_seeds``, which
-    enumerates every placement bucket by bucket through the orbit filter
-    of ``graph.automorphisms``.  A fixed ``start`` is the one seed, in the
-    bucket of its own h.  Free searches skip a seed that runs no gate of a
-    non-empty circuit and drop a child equal to its placement's seed
-    state; a fixed start keeps both.  States with f above ``bound`` are
-    never built (None: no cut).  Returns (cost, initial placement, swaps)
-    for the first finished fragment, which is optimal, or None when
-    nothing within the bound finishes.
+    Buckets are swept from 0, and each records every seed that
+    ``_seeds`` yields for it: a fixed ``start`` in the bucket of its own
+    h, or for a free search (``start`` None) the orbit leaders of
+    ``graph.automorphisms`` that run a gate.  A free search drops a child
+    equal to its placement's seed state; a fixed start keeps it.  States
+    with f above ``bound`` are never built (``math.inf`` for a solve).
+    Returns (cost, initial placement, swaps) for the first finished
+    fragment, which is optimal, or None when nothing within the bound
+    finishes.
 
     One loop per bucket k passes one frontier entry at a time: it pops
     the entry at the deepest level, and when the bucket runs dry it takes
@@ -371,13 +398,9 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     nslots = nq * width
     slot_mask = (1 << nslots) - 1
     free_start = start is None
-    # Buckets are swept from k on and seeded up to seed_max: a free search
-    # seeds every h a placement can have, a fixed start only the bucket of
-    # its own h, with itself as the one seed.
-    if free_start:
-        k, seed_max = 0, graph.diameter - 1 if pairs else 0
-    else:
-        k = seed_max = max([dist[start[a]][start[b]] for a, b in pairs], default=1) - 1
+    # Buckets are swept from 0 and seeded up to seed_max, the largest h a
+    # placement can have.
+    k, seed_max = 0, graph.diameter - 1 if pairs else 0
 
     # Interned placements, with per placement the bitmask of adjacent pairs
     # (its signature) and its seed fragment, the full circuit reduced on it.
@@ -459,16 +482,11 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
 
     # f -> level -> frontier entries filed there, not yet passed.
     buckets: dict[int, dict[int, list[int]]] = {}
-    while bound is None or k <= bound:
+    while k <= bound:
         if k > seed_max and not buckets:
             return None
         cur = buckets.setdefault(k, {})
-        if k > seed_max:
-            seeds = iter(())
-        elif free_start:
-            seeds = _seeds(info, graph, k)
-        else:
-            seeds = iter((start,))
+        seeds = _seeds(info, graph, k, start) if k <= seed_max else iter(())
         while True:
             if cur:
                 # The deepest entry, so a state's children pass before its
@@ -489,10 +507,7 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                 idx = index.get(phys)
                 if idx is None:
                     idx = intern(phys)
-                m0 = seed_of[idx]
-                if m0 == full and full and free_start:
-                    continue  # runs no gate: each child is another seed
-                key = idx << gbits | m0
+                key = idx << gbits | seed_of[idx]
                 closed[key] = 0
                 if len(closed) > state_cap:
                     raise over_cap(0)
@@ -559,9 +574,9 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                         else:
                             next1 |= 1 << i * width + e
                 # Filed at level in buckets k+1 and k+2, unless above bound.
-                if next1 and (bound is None or k + 1 <= bound):
+                if next1 and k + 1 <= bound:
                     buckets.setdefault(k + 1, {}).setdefault(level, []).append(key << nslots | next1)
-                if next2 and (bound is None or k + 2 <= bound):
+                if next2 and k + 2 <= bound:
                     buckets.setdefault(k + 2, {}).setdefault(level, []).append(key << nslots | next2)
             # Build the children of the slots in todo, all in bucket k.
             link = (key + 1) * stride  # parent link, less the SWAP
@@ -632,7 +647,8 @@ def _solve(c: Circuit, g: CouplingGraph, *, start: Placement | None = None,
         raise ResourceLimitError(
             f"the {g.num_nodes}-node graph's distance table has more entries than "
             f"the state cap ({state_cap}); raise it to search this instance")
-    found = _search(_CircuitInfo(c), g, p0, strict=strict, bound=budget,
+    found = _search(_CircuitInfo(c), g, p0, strict=strict,
+                    bound=math.inf if budget is None else budget,
                     state_cap=state_cap, on_level=on_level)
     if found is None:
         if strict or budget is not None:
@@ -693,8 +709,8 @@ def search_levels(c: Circuit, g: CouplingGraph, p0: Placement | None = None, *,
     one in which the search finished is included; when the optimum is 0
     it is the seed that finished, with its empty fragment.  ``p0`` None
     seeds all placements, one per orbit of the graph's automorphisms; a
-    seed that runs no gate is then neither expanded nor reported, and no
-    state above level 0 equals the seed state of its placement.
+    seed that runs no gate is then never built, and no state above level
+    0 equals the seed state of its placement.
     """
     collected: list[list[SearchState]] = []
 

@@ -23,11 +23,13 @@ from .mapper import MapResult, Placement, SwapPlan
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of replaying a plan: accepted flag, swaps actually needed,
-    and on rejection a (step, reason) pair."""
+    on rejection a (step, reason) pair, and whether every SWAP replayed
+    had a qubit on both of its nodes, as strict mode requires."""
 
     accepted: bool
     swaps_used: int
     failure: tuple[int, str] | None
+    strict: bool = True
 
 
 def _advance(c: Circuit, g: CouplingGraph, pos: list[int], executed: set[int]) -> None:
@@ -66,7 +68,9 @@ def verify_plan(c: Circuit, g: CouplingGraph, plan: SwapPlan) -> VerificationRep
     total = len(c.gates)
     if len(executed) == total:
         return VerificationReport(True, 0, None)
+    strict = True
     for step, (a, b) in enumerate(plan.swaps, start=1):
+        strict = strict and a in pos and b in pos
         for q in range(c.num_qubits):
             if pos[q] == a:
                 pos[q] = b
@@ -74,11 +78,11 @@ def verify_plan(c: Circuit, g: CouplingGraph, plan: SwapPlan) -> VerificationRep
                 pos[q] = a
         _advance(c, g, pos, executed)
         if len(executed) == total:
-            return VerificationReport(True, step, None)
+            return VerificationReport(True, step, None, strict)
     left = total - len(executed)
     return VerificationReport(
         False, len(plan.swaps),
-        (len(plan.swaps), f"{left} gate(s) still pending at end of plan"),
+        (len(plan.swaps), f"{left} gate(s) still pending at end of plan"), strict,
     )
 
 

@@ -1,4 +1,5 @@
-"""End-to-end command-line runs in subprocesses."""
+"""End-to-end command-line runs in subprocesses, and in-process runs
+where the solver is replaced."""
 
 import subprocess
 import sys
@@ -6,6 +7,9 @@ import sys
 import pytest
 
 from qcmap import (
+    MapResult,
+    Placement,
+    SwapPlan,
     format_circuit,
     format_graph,
     gen_cycle_circuit,
@@ -15,6 +19,7 @@ from qcmap import (
     parse_csv,
     cycle,
 )
+from qcmap import cli
 
 from helpers import example_circuit
 
@@ -114,6 +119,27 @@ class TestSolve:
                        "--strict-swaps")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_strict_plan_self_verified(self, tmp_path, capsys, monkeypatch, strict):
+        # A cost-1 plan whose SWAP moves qubit 0 onto the empty node 1: legal
+        # unless SWAPs are strict, when self-verification must refuse it.
+        circuit = tmp_path / "pair.qc"
+        circuit.write_text("qubits 2\ncx 0 1\n")
+        graph = tmp_path / "g.cg"
+        graph.write_text(format_graph(linear(3)))
+        plan = SwapPlan(Placement((0, 2)), ((0, 1),))
+        monkeypatch.setattr(cli, "solve_exact", lambda *a, **kw: MapResult(1, plan))
+        argv = ["solve", "--circuit", str(circuit), "--graph", str(graph),
+                "--plan", str(tmp_path / "out.plan")]
+        code = cli.main(argv + ["--strict-swaps"] * strict)
+        err = capsys.readouterr().err
+        if strict:
+            assert code == 2 and "self-verification" in err
+            assert not (tmp_path / "out.plan").exists()
+        else:
+            assert code == 0 and err == ""
+            assert load_plan(tmp_path / "out.plan") == plan
 
 
 class TestDecide:

@@ -123,6 +123,23 @@ class TestFamilies:
             text = format_graph(grid_hex(r, c))
             assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (r, c)
 
+    # The same for format_graph(grid_triangle(r, c)).
+    TRIANGLE_DIGESTS = {
+        (1, 1): "83ef32f61e95d9d1", (1, 2): "9b3eabecd68d3db3",
+        (1, 3): "71c6baf9ecb0926a", (1, 4): "fa18fe85fdc06486",
+        (2, 1): "bfdfb54d05c1026e", (2, 2): "9f24af798995b212",
+        (2, 3): "4696434c7dce4591", (2, 4): "f94d4a3d2459702b",
+        (3, 1): "f56849aaf37f8803", (3, 2): "6f17694b14e0373c",
+        (3, 3): "84b0c81a608e923e", (3, 4): "45148fb74851b9c1",
+        (4, 1): "d60840dc7d967d4a", (4, 2): "b28fffc23c97ae3d",
+        (4, 3): "3d784c704476ba5a", (4, 4): "a78e38f74cf14655",
+    }
+
+    def test_grid_triangle_numbering_is_fixed(self):
+        for (r, c), digest in self.TRIANGLE_DIGESTS.items():
+            text = format_graph(grid_triangle(r, c))
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (r, c)
+
     def test_grid_triangle(self):
         g = grid_triangle(2, 2)
         assert g.num_nodes == 9

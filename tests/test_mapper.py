@@ -382,9 +382,18 @@ class TestSeedOrbitFilter:
             buckets.setdefault(h, set()).add(p)
         return buckets
 
+    @classmethod
+    def seeds_that_run_a_gate(cls, c, info, g):
+        """``every_seed`` less the placements that run no gate of ``c``,
+        those on which the full circuit reduces to itself."""
+        full = Subcircuit.full(c)
+        return {h: {p for p in ps if reduce_subcircuit(full, Placement(p), g) != full}
+                for h, ps in cls.every_seed(info, g, c.num_qubits).items()}
+
     def test_every_orbit_keeps_a_seed(self):
         # Closing the filtered seeds of each bucket under the group gives
-        # back every seed of that bucket.  Each group here is complete.
+        # back every placement of that bucket that runs a gate.  Each group
+        # here is complete.
         from qcmap.mapper import _CircuitInfo, _seeds
         rng = random.Random(73)
         for g in [*self.GRAPHS, aspen()]:
@@ -392,7 +401,7 @@ class TestSeedOrbitFilter:
             for qubits in (3, 4):
                 c = gen_random_circuit(RandomCircuitSpec(qubits, 8, 1.0, rng.randrange(1000)))
                 info = _CircuitInfo(c)
-                buckets = self.every_seed(info, g, qubits)
+                buckets = self.seeds_that_run_a_gate(c, info, g)
                 for k in range(g.diameter):
                     every = buckets.get(k, set())
                     kept = set(_seeds(info, g, k))
@@ -413,7 +422,7 @@ class TestSeedOrbitFilter:
             for qubits in (3, 4):
                 c = gen_random_circuit(RandomCircuitSpec(qubits, 8, 1.0, rng.randrange(1000)))
                 info = _CircuitInfo(c)
-                buckets = self.every_seed(info, g, qubits)
+                buckets = self.seeds_that_run_a_gate(c, info, g)
                 for k in range(g.diameter):
                     every = buckets.get(k, set())
                     orbits = {frozenset(tuple(p[x] for x in s) for p in group) for s in every}
@@ -477,6 +486,22 @@ class TestSeedOrbitFilter:
         c = gen_random_circuit(RandomCircuitSpec(3, 8, 1.0, 3))
         assert solve_from(c, g, Placement((0, 2, 4))).cost == 4  # buckets 1-4 seeded
         assert "automorphisms" not in vars(g)
+
+    def test_fixed_start_is_its_own_buckets_one_seed(self):
+        # Unfiltered: neither the orbit filter nor the no-gate rule drops it.
+        from qcmap.mapper import _CircuitInfo, _seeds
+        g = cycle(5)
+        c = gen_random_circuit(RandomCircuitSpec(3, 8, 1.0, 3))
+        info = _CircuitInfo(c)
+        full = Subcircuit.full(c)
+        idle, non_leader = 0, 0
+        for p in itertools.permutations(range(g.num_nodes), 3):
+            h = max(g.distances[p[a]][p[b]] for a, b in info.pairs) - 1
+            for k in range(g.diameter):
+                assert list(_seeds(info, g, k, p)) == ([p] if k == h else []), (p, k)
+            idle += reduce_subcircuit(full, Placement(p), g) == full
+            non_leader += p not in set(_seeds(info, g, h))
+        assert idle and non_leader, (idle, non_leader)
 
 
 class TestHallCount:
@@ -571,7 +596,7 @@ class TestHallCount:
 class TestSeedDominance:
     """A search over all placements drops every state equal to the seed
     state of its own placement (the full circuit reduced there) and never
-    expands a seed that runs no gate; fixed starts keep both.  Its optima
+    builds a seed that runs no gate; fixed starts keep both.  Its optima
     are checked against every fixed start in ``TestSeedOrbitFilter``."""
 
     @staticmethod
@@ -593,6 +618,35 @@ class TestSeedDominance:
                         pending = reduce_subcircuit(pending, placement, g)
                         assert pending != self.seed_state(c, placement, g), (g, c, strict)
                     assert pending.is_empty
+
+    def test_seeds_all_run_a_gate(self):
+        # With every front gate two-qubit, a placement whose front pairs are
+        # all apart runs no gate; the backtrack never yields one.  A front
+        # gate on one qubit, or an empty circuit, keeps every placement.
+        from qcmap.mapper import _CircuitInfo, _seeds
+        rng = random.Random(83)
+        dropped = 0
+        for g in [cycle(5), linear(5), grid_square(2, 3), tokyo()]:
+            for qubits in (2, 3, 4):
+                c = gen_random_circuit(RandomCircuitSpec(qubits, 6, 1.0, rng.randrange(1000)))
+                info = _CircuitInfo(c)
+                full = Subcircuit.full(c)
+                every = TestSeedOrbitFilter.every_seed(info, g, qubits)
+                for k in range(g.diameter):
+                    assert all(reduce_subcircuit(full, Placement(p), g) != full
+                               for p in _seeds(info, g, k)), (g, c, k)
+                    dropped += any(reduce_subcircuit(full, Placement(p), g) == full
+                                   for p in every.get(k, ()))
+        assert dropped >= 10, dropped
+        g = linear(5)
+        for c in (Circuit.from_ops(3, [("h", (2,)), ("cx", (0, 1)), ("cx", (1, 2))]),
+                  Circuit.from_ops(3, [])):
+            info = _CircuitInfo(c)
+            every = TestSeedOrbitFilter.every_seed(info, g, 3)
+            group = [tuple(range(g.num_nodes)), *g.automorphisms]
+            for k in range(g.diameter if info.pairs else 1):
+                kept = set(_seeds(info, g, k))
+                assert {tuple(a[x] for x in s) for s in kept for a in group} == every.get(k, set())
 
     def test_free_frontiers_hold_no_seed_state(self):
         from qcmap.mapper import _solve

@@ -5,9 +5,10 @@ No oracle is needed, so these reach devices and qubit counts that
 ``brute_force_g`` cannot.  Each relation changes something the seed orbit
 filter depends on: node labels change which placement leads each orbit,
 qubit labels change the backtrack order the leaders are read in, an
-added edge changes the automorphism group, and a prefix changes which
-seed placements run no gate.  Cases are derandomized, so every run
-checks the same instances.  Reversal and the prefix relation are also
+added edge changes the automorphism group, a prefix changes which
+seed placements run no gate, and an idle qubit adds backtrack positions
+after those of the interacting qubits.  Cases are derandomized, so every
+run checks the same instances.  Reversal and the prefix relation are also
 checked on three fixed instances of the hard 5-6 qubit strata, free and
 strict, and an added edge on two of them; ``decide`` at the optimum and
 one below on a 7-qubit path instance and a 6-qubit ``tokyo()`` instance.
@@ -172,6 +173,31 @@ def test_added_edge_never_raises_optimum_on_hard_strata(g, spec, opt, edge, stri
     c = gen_random_circuit(spec)
     assert not g.has_edge(*edge)
     assert cost(c, CouplingGraph(g.num_nodes, [*g.edges, edge]), strict) <= opt
+
+
+# At most 6 nodes and 10 gates: an idle qubit multiplies the placements.
+SMALL_GRAPHS = [linear(5), cycle(5), cycle(6), grid_square(2, 3), linear(6)]
+
+
+@CASES
+@given(st.sampled_from(SMALL_GRAPHS), st.integers(2, 4), st.integers(1, 10),
+       st.sampled_from((1.0, 0.8)), st.integers(0, 10**6), st.data())
+def test_idle_qubit_keeps_optimum(g, qubits, gates, fraction, seed, data):
+    # A qubit in no two-qubit gate sits on any free node and never blocks a
+    # gate of the others.  Under strict SWAPs it is one more occupant, which
+    # only makes more SWAPs legal.
+    c = gen_random_circuit(RandomCircuitSpec(qubits, gates, fraction, seed))
+    idle = data.draw(st.integers(0, qubits))
+    ops = [(gate.label, tuple(q + (q >= idle) for q in gate.qubits)) for gate in c.gates]
+    for at in sorted(data.draw(st.lists(st.integers(0, gates), max_size=2)), reverse=True):
+        ops.insert(at, ("h", (idle,)))
+    more = Circuit.from_ops(qubits + 1, ops)
+    opt = cost(c, g, False)
+    assert cost(more, g, False) == opt
+    assert decide(more, g, opt)
+    if opt > 0:
+        assert not decide(more, g, opt - 1)
+    assert cost(more, g, True) <= cost(c, g, True)
 
 
 @CASES

@@ -75,6 +75,21 @@ class TestVerifyPlan:
         c = Circuit.from_ops(2, [("cx", (0, 1))])
         report = verify_plan(c, linear(3), SwapPlan(Placement((0, 2)), ((0, 1),)))
         assert report.accepted and report.swaps_used == 1
+        assert not report.strict
+
+    def test_strict_reads_only_the_swaps_replayed(self):
+        c = Circuit.from_ops(3, [("cx", (0, 2))])
+        g = linear(4)
+        # Both nodes held: strict.  A SWAP onto the empty node 3 after the
+        # circuit finished is never replayed.
+        plan = SwapPlan(Placement((0, 1, 2)), ((0, 1), (2, 3)))
+        report = verify_plan(c, g, plan)
+        assert report.accepted and report.swaps_used == 1 and report.strict
+        # A rejected plan reports the SWAPs it replayed too.
+        report = verify_plan(c, g, SwapPlan(Placement((0, 1, 2)), ((2, 3),)))
+        assert not report.accepted and not report.strict
+        report = verify_plan(c, g, SwapPlan(Placement((0, 1, 3)), ()))
+        assert not report.accepted and report.strict
 
     def test_rejects_short_plan(self):
         c = Circuit.from_ops(3, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 2))])
