@@ -14,11 +14,12 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from multiprocessing.util import Finalize
 from random import Random
 
 from .circuits import Circuit
-from .coupling import linear
+from .coupling import CouplingGraph, linear
 from .mapper import DEFAULT_STATE_CAP, solve_exact
 
 CSV_HEADER = "gt,qt,gt_add,time,samples,seed"
@@ -85,9 +86,17 @@ def _child_seed(seed: int, qubits: int, gt: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+@lru_cache(maxsize=8)
+def _linear(nodes: int) -> CouplingGraph:
+    """One path graph per node count in this process, shared by every chunk
+    it solves: a graph is immutable, so its distance table, automorphisms
+    and room sets are built once, not once per chunk."""
+    return linear(nodes)
+
+
 def _solve_chunk(args: tuple) -> tuple[int, float]:
     qubits, gt, frac, seeds, graph_nodes, state_cap, strict = args
-    graph = linear(graph_nodes)
+    graph = _linear(graph_nodes)
     total = 0
     elapsed = 0.0
     for s in seeds:

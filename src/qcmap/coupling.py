@@ -28,6 +28,7 @@ class CouplingGraph:
         if num_nodes < 1:
             raise ValueError("graph needs at least one node")
         self._check_connected()
+        self._max_degree = max(map(len, self.neighbors))
         self._within: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     @classmethod
@@ -171,19 +172,33 @@ class CouplingGraph:
     def within(self, hops: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per node, the bitmask of the other nodes at most ``hops`` away;
         and per count c from 0 to num_nodes, the bitmask of the nodes that
-        have at least c such nodes.  Built once per hop count."""
-        found = self._within.get(hops)
+        have at least c such nodes.
+
+        Built once per hop count from ``adjacency_masks``, never from the
+        distance table: 1 hop reaches the neighbors, and h hops reach the
+        neighbors and whatever they reach in h-1 hops, so each hop count is
+        grown from the one below it."""
+        levels = self._within
+        found = levels.get(hops)
         if found is None:
-            reach = tuple(sum(1 << w for w, d in enumerate(row) if 0 < d <= hops)
-                          for row in self.distances)
-            # File each node under its own count, then OR the masks down
-            # from the top count, so fits[c] holds every count >= c.
-            fits = [0] * (self.num_nodes + 1)
-            for x, near in enumerate(reach):
-                fits[near.bit_count()] |= 1 << x
-            for c in range(self.num_nodes - 1, -1, -1):
-                fits[c] |= fits[c + 1]
-            found = self._within[hops] = reach, tuple(fits)
+            adjacency = self.adjacency_masks
+            # Every level from 1 up, so each grows from the one below it.
+            for h in range(min(hops, 1), hops + 1):
+                if h in levels:
+                    continue
+                if h < 2:
+                    # 0 hops reach no other node, and 1 hop the neighbors.
+                    reach = adjacency if h else (0,) * self.num_nodes
+                else:
+                    below = levels[h - 1][0]
+                    reach = []
+                    for v, ns in enumerate(self.neighbors):
+                        ball = adjacency[v]
+                        for w in ns:
+                            ball |= below[w]
+                        reach.append(ball & ~(1 << v))
+                levels[h] = _room(tuple(reach))
+            found = levels[hops]
         return found
 
     def distance(self, a: int, b: int) -> int:
@@ -197,7 +212,8 @@ class CouplingGraph:
         return (min(a, b), max(a, b)) in self.edges
 
     def max_degree(self) -> int:
-        return max((len(ns) for ns in self.neighbors), default=0)
+        """The largest number of neighbors of a node, counted once per graph."""
+        return self._max_degree
 
     def is_bipartite(self) -> bool:
         # In a connected graph an edge joins nodes at equal hop counts from
@@ -215,6 +231,19 @@ class CouplingGraph:
 
     def __repr__(self) -> str:
         return f"CouplingGraph(num_nodes={self.num_nodes}, edges=<{len(self.edges)}>)"
+
+
+def _room(reach: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``reach`` and, per count c from 0 to its length, the bitmask of the
+    nodes whose reach holds at least c nodes."""
+    # File each node under its own count, then OR the masks down from the
+    # top count, so fits[c] holds every count >= c.
+    fits = [0] * (len(reach) + 1)
+    for x, near in enumerate(reach):
+        fits[near.bit_count()] |= 1 << x
+    for c in range(len(reach) - 1, -1, -1):
+        fits[c] |= fits[c + 1]
+    return reach, tuple(fits)
 
 
 # --- generators -------------------------------------------------------------

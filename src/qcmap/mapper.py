@@ -18,9 +18,14 @@ interacting pair within K+1 hops; at K = 0 that is the embedding test of
 the interaction topology.  A count comes first: a qubit with d partners
 needs a node with d others within K+1 hops, and if the c-th largest
 degree has fewer than c such nodes (Hall's condition) the bucket has no
-seed and its backtrack never runs.  A fixed start is the one seed of its
-search, in the bucket of its own h.  ``_seeds`` decides both, so every
-search sweeps the buckets from 0 and records each seed it is given.
+seed and its backtrack never runs.  The count reads only the circuit's
+degrees and the room sets that ``CouplingGraph.within`` grows from the
+adjacency masks; the distance table, the backtrack's qubit order and the
+automorphism group are built after it, so a refuted bucket 0 builds none
+of them (bucket 1 reads the graph's diameter, and so its distance table,
+when it opens).  A fixed start is the one seed of its search, in the
+bucket of its own h.  ``_seeds`` decides both, so every search sweeps
+the buckets from 0 and records each seed it is given.
 Inside a bucket states are passed one at a time, deepest level first,
 and when the bucket runs dry the next seed is enumerated as its level-0
 entry; so the bucket that holds the optimum stops at its first finished
@@ -93,6 +98,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .circuits import Circuit
 from .coupling import CouplingGraph
@@ -180,10 +186,13 @@ class SearchState:
 
 class _CircuitInfo:
     """Preprocessed per-solve tables: operand pairs, the front gates'
-    pairs, per-gate qubit masks and the qubit order of the seed
-    backtrack."""
+    pairs, per-gate qubit masks, per-qubit partner masks and the degrees in
+    decreasing order, all from one pass over the gates.  The seed
+    backtrack's qubit order is built on first use (``backtrack``), so a
+    bucket that the Hall count refutes never builds it."""
 
     def __init__(self, c: Circuit):
+        self.num_qubits = c.num_qubits
         self.all_qubits = (1 << c.num_qubits) - 1
         self.num_gates = len(c.gates)
         self.full_mask = (1 << len(c.gates)) - 1
@@ -221,30 +230,40 @@ class _CircuitInfo:
         # The front gates' operand pairs; none when every placement runs a
         # gate, because a front gate is single-qubit or the circuit is empty.
         self.front_pairs = tuple(front) if all(len(qs) == 2 for qs in front) else ()
-        # Seed backtrack order: each next qubit the one with most partners
-        # already placed, then most partners, then lowest index; so the idle
-        # qubits come last.
-        order: list[int] = []
-        placed = 0
-        rest = list(range(c.num_qubits))
-        while rest:
-            best, best_key = -1, (-1, -1)
-            for q in rest:
-                key = ((partners[q] & placed).bit_count(), partners[q].bit_count())
-                if key > best_key:
-                    best, best_key = q, key
-            order.append(best)
-            rest.remove(best)
-            placed |= 1 << best
+        self.partners = partners
         self.num_active = len(partners) - partners.count(0)
-        self.order = tuple(order)
-        self.degree = tuple(partners[q].bit_count() for q in order)
-        # The same degrees in decreasing order, for the count in _seeds.
-        self.degrees_down = tuple(sorted(self.degree, reverse=True))
-        # Per backtrack position: the partners placed before it.
-        self.placed_partners = tuple(
-            tuple(r for r in order[:i] if partners[q] >> r & 1) for i, q in enumerate(order)
-        )
+        # The degrees in decreasing order, for the count in _seeds.
+        self.degrees_down = tuple(sorted((p.bit_count() for p in partners), reverse=True))
+
+    @cached_property
+    def backtrack(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The seed backtrack's qubit order and, per position, the qubit's
+        degree and its partners placed before it.  Each next qubit is the
+        one with most partners already placed, then most partners, then
+        lowest index; so the idle qubits come last."""
+        partners = self.partners
+        degree = [p.bit_count() for p in partners]
+        # Per qubit, its partners placed so far, in order, and its key: that
+        # count times a stride above every degree, plus its degree.  max()
+        # keeps the first of equal keys, and rest stays in index order.
+        placed: list[list[int]] = [[] for _ in partners]
+        key = degree[:]
+        stride = len(partners)
+        rest = list(range(len(partners)))
+        order, back = [], []
+        while rest:
+            best = max(rest, key=key.__getitem__)
+            rest.remove(best)
+            order.append(best)
+            back.append(tuple(placed[best]))
+            m = partners[best]
+            while m:
+                low = m & -m
+                m ^= low
+                r = low.bit_length() - 1
+                placed[r].append(best)
+                key[r] += stride
+        return tuple(order), tuple(degree[q] for q in order), tuple(back)
 
 
 def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, ...] | None = None):
@@ -261,7 +280,7 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, .
     ``info.front_pairs`` adjacent) is dropped once its interacting qubits
     are placed, before the idle ones: each of its SWAP children is the
     seed state of its own placement (see the module docstring).  A
-    placement is yielded only if, read in backtrack order (``info.order``),
+    placement is yielded only if, read in backtrack order (``info.backtrack``),
     it is lexicographically no larger than its image under each of
     ``graph.automorphisms``; under a complete group that is one placement
     per orbit, its leader.  The test runs on every prefix, so no placement
@@ -273,18 +292,20 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, .
         if max([graph.distances[start[a]][start[b]] for a, b in info.pairs], default=1) - 1 == k:
             yield start
         return
-    n = graph.num_nodes
-    dist = graph.distances
-    # Per node, the other nodes within k+1 hops; per backtrack position,
-    # the nodes with room for all of the qubit's partners.
+    # Per node, the other nodes within k+1 hops; per count d, the nodes
+    # with room for d partners.  The room sets are nested (room[d] holds
+    # room[d + 1]), so this count is the whole of Hall's condition on
+    # them: when it fails, no placement gives every qubit a distinct node
+    # with room for its partners.
     reach, room = graph.within(k + 1)
-    fits = [room[d] for d in info.degree]
-    # The room sets are nested (room[d] holds room[d + 1]), so this count
-    # is the whole of Hall's condition on them: when it fails, no
-    # placement gives every qubit a distinct node of its fits.
     if any(room[d].bit_count() < c for c, d in enumerate(info.degrees_down, 1)):
         return
-    order, back, pairs, front = info.order, info.placed_partners, info.pairs, info.front_pairs
+    n = graph.num_nodes
+    dist = graph.distances
+    order, degree, back = info.backtrack
+    # Per backtrack position, the nodes with room for the qubit's partners.
+    fits = [room[d] for d in degree]
+    pairs, front = info.pairs, info.front_pairs
     num_active, num_qubits = info.num_active, len(order)
     if not num_qubits:
         yield ()
@@ -384,7 +405,9 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     n = graph.num_nodes
     nbrs = graph.neighbors
     stride = n * n
-    dist = graph.distances
+    # The distance table, read when the first placement is interned: a
+    # bucket whose seeds the Hall count refutes never builds it.
+    dist = None
     pairs = info.pairs
     npairs = len(pairs)
     gate_qubits = info.gate_qubits
@@ -394,13 +417,13 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     full = info.full_mask
     # A frontier entry packs the state key above its SWAP-slot mask.
     width = graph.max_degree()
-    nq = len(info.order)
+    nq = info.num_qubits
     nslots = nq * width
     slot_mask = (1 << nslots) - 1
     free_start = start is None
     # Buckets are swept from 0 and seeded up to seed_max, the largest h a
-    # placement can have.
-    k, seed_max = 0, graph.diameter - 1 if pairs else 0
+    # placement can have, read when bucket 1 opens.
+    k = seed_max = 0
 
     # Interned placements, with per placement the bitmask of adjacent pairs
     # (its signature) and its seed fragment, the full circuit reduced on it.
@@ -483,6 +506,8 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     # f -> level -> frontier entries filed there, not yet passed.
     buckets: dict[int, dict[int, list[int]]] = {}
     while k <= bound:
+        if k == 1 and pairs:
+            seed_max = graph.diameter - 1
         if k > seed_max and not buckets:
             return None
         cur = buckets.setdefault(k, {})
@@ -506,6 +531,8 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                     break
                 idx = index.get(phys)
                 if idx is None:
+                    if dist is None:
+                        dist = graph.distances
                     idx = intern(phys)
                 key = idx << gbits | seed_of[idx]
                 closed[key] = 0

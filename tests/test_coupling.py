@@ -209,22 +209,34 @@ class TestWithin:
     def test_room_tables_match_distances(self):
         # The definition, restated from the distance table: reach[v] holds
         # the other nodes at most hops away, fits[c] the nodes that reach at
-        # least c of them.
+        # least c of them.  Each graph is built twice: one copy gives the
+        # reference distances, and the tables of the other, fresh copy are
+        # built before its distance table exists, one copy in increasing
+        # hop order and one from the top hop count down.
         rng = random.Random(76)
-        graphs = [tokyo(), aspen(), linear(7), grid_square(3, 4), cycle(9), clique(6),
-                  CouplingGraph(12, [(0, leaf) for leaf in range(1, 12)]),
-                  *(random_connected_graph(rng, rng.randrange(2, 12), rng.randrange(0, 8))
-                    for _ in range(8))]
-        for g in graphs:
-            n = g.num_nodes
-            for hops in range(g.diameter + 2):
-                reach, fits = g.within(hops)
-                near = [{w for w in range(n) if w != v and g.distance(v, w) <= hops}
+        family_params = {"linear": (7,), "cycle": (9,), "clique": (6,), "grid_square": (3, 4),
+                         "grid_hex": (2, 2), "grid_triangle": (2, 3), "tokyo": (), "aspen": ()}
+        makers = [*(lambda f=f: gen(f, *family_params[f]) for f in FAMILIES),
+                  lambda: CouplingGraph(12, [(0, leaf) for leaf in range(1, 12)]),
+                  lambda: CouplingGraph(1, []),
+                  *(lambda g=random_connected_graph(rng, rng.randrange(2, 12), rng.randrange(0, 8)):
+                    CouplingGraph(g.num_nodes, g.edges) for _ in range(8))]
+        for make in makers:
+            ref = make()
+            n = ref.num_nodes
+            top = ref.diameter + 1
+            tables = {}
+            for hops in range(top + 1):
+                near = [{w for w in range(n) if w != v and ref.distance(v, w) <= hops}
                         for v in range(n)]
-                assert reach == tuple(sum(1 << w for w in ws) for ws in near), (g, hops)
-                assert fits == tuple(sum(1 << v for v in range(n) if len(near[v]) >= c)
-                                     for c in range(n + 1)), (g, hops)
-
+                tables[hops] = (tuple(sum(1 << w for w in ws) for ws in near),
+                                tuple(sum(1 << v for v in range(n) if len(near[v]) >= c)
+                                      for c in range(n + 1)))
+            for hop_order in (range(1, top + 1), range(top, -1, -1)):
+                g = make()
+                for hops in hop_order:
+                    assert g.within(hops) == tables[hops], (g, hops)
+                assert "distances" not in vars(g), g
 
 class TestAutomorphisms:
     @staticmethod

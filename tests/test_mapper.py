@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -23,6 +24,7 @@ from qcmap import (
     cycle,
     decide,
     descriptor,
+    format_graph,
     format_plan,
     gen_clique_circuit,
     gen_cycle_circuit,
@@ -32,6 +34,7 @@ from qcmap import (
     ham_cycle,
     linear,
     load_plan,
+    parse_graph,
     parse_plan,
     reduce_hamcycle_to_hampath_qcm,
     reduce_hamcycle_to_qcm,
@@ -570,14 +573,31 @@ class TestHallCount:
                 assert not list(_seeds(info, g, k)), (g, c, k)
         assert refuted >= 20, refuted
 
-    def test_refuted_bucket_never_backtracks(self):
-        # The count comes before the backtrack reads the orbit filter's
-        # tables, so a budget-0 decide it refutes never computes the group.
-        g = CouplingGraph(7, [*cycle(6).edges, (0, 6)])
-        c = gen_cycle_circuit(7)
-        assert self.refutes(c, g, 0)
-        assert not decide(c, g, 0)
-        assert "automorphisms" not in vars(g)
+    def test_refuted_bucket_never_backtracks(self, monkeypatch):
+        # The count comes first, on room sets grown from the adjacency
+        # masks: a budget-0 decide it refutes builds neither the distance
+        # table nor the group, nor the backtrack's qubit order.  One that
+        # the count passes builds all three.
+        from qcmap.mapper import _CircuitInfo
+        orders = []
+        backtrack = _CircuitInfo.backtrack
+
+        def recorded(info):
+            orders.append(info)
+            return backtrack.__get__(info, _CircuitInfo)
+
+        monkeypatch.setattr(_CircuitInfo, "backtrack", property(recorded))
+        text = format_graph(CouplingGraph(7, [*cycle(6).edges, (0, 6)]))
+        for c, refuted in ((gen_cycle_circuit(7), True), (gen_path_circuit(7), False)):
+            assert self.refutes(c, parse_graph(text), 0) == refuted
+            g = parse_graph(text)
+            orders.clear()
+            assert decide(c, g, 0) != refuted
+            built = {"distances", "automorphisms"} & set(vars(g))
+            if refuted:
+                assert not built and not orders, (built, orders)
+            else:
+                assert built == {"distances", "automorphisms"} and orders, (built, orders)
 
     def test_count_leaves_exhaustive_refutation(self):
         # Cubic sources with no Hamiltonian cycle: enough nodes have room
@@ -965,3 +985,67 @@ class TestPlanSerialization:
         path = tmp_path / "route.plan"
         save_plan(plan, path)
         assert load_plan(path) == plan
+
+
+class TestTraceDigest:
+    """A sha256 over everything the search shows: each ``on_level`` call,
+    each plan and cost, each ``ResourceLimitError`` text and, for a free
+    search with a finite optimum, ``decide`` at 0, opt-1 and opt.  The
+    digest was recorded before the set-up behind the Hall count was made
+    lazy; a change that reorders the search records a new one and says so
+    in CHANGES.md."""
+
+    DIGEST = "6c1910dbf5435aece21a714e2d416690578c9ec139e3f07d4812218fb8940d3e"
+
+    @staticmethod
+    def corpus():
+        """Seeded (circuit, graph, start, strict, state_cap) cases on seven
+        small graphs: free and strict searches, fixed starts and small caps."""
+        rng = random.Random(1801)
+        star = CouplingGraph(6, [(0, leaf) for leaf in range(1, 6)])
+        ring_pendant = CouplingGraph(6, [*cycle(5).edges, (0, 5)])
+        graphs = [linear(5), cycle(6), grid_square(3, 3), clique(5), star, ring_pendant,
+                  CouplingGraph(1, [])]
+        for g in graphs:
+            for _ in range(12):
+                qubits = rng.randrange(1 if g.num_nodes == 1 else 2, min(g.num_nodes, 5) + 1)
+                ops = []
+                for _ in range(rng.randrange(0, 17)):
+                    if qubits == 1 or rng.random() < 0.2:
+                        ops.append(("h", (rng.randrange(qubits),)))
+                    else:
+                        a, b = rng.sample(range(qubits), 2)
+                        ops.append(("cx", (a, b)))
+                c = Circuit.from_ops(qubits, ops)
+                start = Placement(tuple(rng.sample(range(g.num_nodes), qubits)))
+                for strict in (False, True):
+                    yield c, g, None, strict, DEFAULT_STATE_CAP
+                    yield c, g, start, strict, DEFAULT_STATE_CAP
+                yield c, g, None, False, rng.choice((3, 12, 40))
+
+    @staticmethod
+    def digest(cases) -> str:
+        from qcmap.mapper import _solve
+        h = hashlib.sha256()
+
+        def hook(k, level, phys, mask):
+            h.update(f"{k} {level} {phys} {mask};".encode())
+
+        for c, g, start, strict, cap in cases:
+            h.update(f"case {c.num_qubits} {c.gates} {sorted(g.edges)} {start} {strict} {cap}\n"
+                     .encode())
+            try:
+                res = _solve(c, g, start=start, strict=strict, budget=None, state_cap=cap,
+                             on_level=hook)
+            except ResourceLimitError as exc:
+                h.update(f"cap {exc}\n".encode())
+                continue
+            h.update(f"cost {res.cost} {res.plan}\n".encode())
+            if start is None and res.feasible:
+                for k in sorted({0, max(res.cost - 1, 0), res.cost}):
+                    h.update(f"decide {k} {decide(c, g, k, strict=strict, state_cap=cap)}\n"
+                             .encode())
+        return h.hexdigest()
+
+    def test_digest_is_unchanged(self):
+        assert self.digest(self.corpus()) == self.DIGEST
