@@ -181,14 +181,16 @@ class CouplingGraph:
         levels = self._within
         found = levels.get(hops)
         if found is None:
+            n = self.num_nodes
             adjacency = self.adjacency_masks
-            # Every level from 1 up, so each grows from the one below it.
+            # Level 0 only when asked for; every level from 1 up to hops,
+            # since each grows from the one below it.
             for h in range(min(hops, 1), hops + 1):
                 if h in levels:
                     continue
                 if h < 2:
                     # 0 hops reach no other node, and 1 hop the neighbors.
-                    reach = adjacency if h else (0,) * self.num_nodes
+                    reach = adjacency if h else (0,) * n
                 else:
                     below = levels[h - 1][0]
                     reach = []
@@ -197,7 +199,14 @@ class CouplingGraph:
                         for w in ns:
                             ball |= below[w]
                         reach.append(ball & ~(1 << v))
-                levels[h] = _room(tuple(reach))
+                # File each node under its own count, then OR the masks down
+                # from the top count, so fits[c] holds every count >= c.
+                fits = [0] * (n + 1)
+                for x, near in enumerate(reach):
+                    fits[near.bit_count()] |= 1 << x
+                for c in range(n - 1, -1, -1):
+                    fits[c] |= fits[c + 1]
+                levels[h] = tuple(reach), tuple(fits)
             found = levels[hops]
         return found
 
@@ -231,19 +240,6 @@ class CouplingGraph:
 
     def __repr__(self) -> str:
         return f"CouplingGraph(num_nodes={self.num_nodes}, edges=<{len(self.edges)}>)"
-
-
-def _room(reach: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``reach`` and, per count c from 0 to its length, the bitmask of the
-    nodes whose reach holds at least c nodes."""
-    # File each node under its own count, then OR the masks down from the
-    # top count, so fits[c] holds every count >= c.
-    fits = [0] * (len(reach) + 1)
-    for x, near in enumerate(reach):
-        fits[near.bit_count()] |= 1 << x
-    for c in range(len(reach) - 1, -1, -1):
-        fits[c] |= fits[c + 1]
-    return reach, tuple(fits)
 
 
 # --- generators -------------------------------------------------------------

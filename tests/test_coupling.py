@@ -209,10 +209,10 @@ class TestWithin:
     def test_room_tables_match_distances(self):
         # The definition, restated from the distance table: reach[v] holds
         # the other nodes at most hops away, fits[c] the nodes that reach at
-        # least c of them.  Each graph is built twice: one copy gives the
-        # reference distances, and the tables of the other, fresh copy are
-        # built before its distance table exists, one copy in increasing
-        # hop order and one from the top hop count down.
+        # least c of them.  One copy of each graph gives the reference
+        # distances; two fresh copies build their tables before their own
+        # distance table exists, one from 1 hop up and one from diameter+1
+        # down to 0.
         rng = random.Random(76)
         family_params = {"linear": (7,), "cycle": (9,), "clique": (6,), "grid_square": (3, 4),
                          "grid_hex": (2, 2), "grid_triangle": (2, 3), "tokyo": (), "aspen": ()}
@@ -237,6 +237,7 @@ class TestWithin:
                 for hops in hop_order:
                     assert g.within(hops) == tables[hops], (g, hops)
                 assert "distances" not in vars(g), g
+
 
 class TestAutomorphisms:
     @staticmethod
