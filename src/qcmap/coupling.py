@@ -29,7 +29,10 @@ class CouplingGraph:
             raise ValueError("graph needs at least one node")
         self._check_connected()
         self._max_degree = max(map(len, self.neighbors))
-        self._within: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        # The levels of within(), from level 0: no node has another node
+        # within 0 hops, so every node has room for 0 others and none for 1.
+        self._within: list[tuple[tuple[int, ...], tuple[int, ...]]] = [
+            ((0,) * num_nodes, ((1 << num_nodes) - 1,) + (0,) * num_nodes)]
 
     @classmethod
     def from_edge_list(cls, num_nodes: int, edges) -> "CouplingGraph":
@@ -175,40 +178,32 @@ class CouplingGraph:
         have at least c such nodes.
 
         Built once per hop count from ``adjacency_masks``, never from the
-        distance table: 1 hop reaches the neighbors, and h hops reach the
-        neighbors and whatever they reach in h-1 hops, so each hop count is
-        grown from the one below it."""
+        distance table: the levels start from level 0, where no node has
+        another, and h hops reach the neighbors and whatever they reach in
+        h-1 hops, so each level is grown from the one below it.  The
+        mapper seeds from these sets and the adjacency masks alone; its
+        distance table is built when a bucket's count passes, or at once
+        for a fixed start."""
         levels = self._within
-        found = levels.get(hops)
-        if found is None:
+        while len(levels) <= hops:
             n = self.num_nodes
             adjacency = self.adjacency_masks
-            # Level 0 only when asked for; every level from 1 up to hops,
-            # since each grows from the one below it.
-            for h in range(min(hops, 1), hops + 1):
-                if h in levels:
-                    continue
-                if h < 2:
-                    # 0 hops reach no other node, and 1 hop the neighbors.
-                    reach = adjacency if h else (0,) * n
-                else:
-                    below = levels[h - 1][0]
-                    reach = []
-                    for v, ns in enumerate(self.neighbors):
-                        ball = adjacency[v]
-                        for w in ns:
-                            ball |= below[w]
-                        reach.append(ball & ~(1 << v))
-                # File each node under its own count, then OR the masks down
-                # from the top count, so fits[c] holds every count >= c.
-                fits = [0] * (n + 1)
-                for x, near in enumerate(reach):
-                    fits[near.bit_count()] |= 1 << x
-                for c in range(n - 1, -1, -1):
-                    fits[c] |= fits[c + 1]
-                levels[h] = tuple(reach), tuple(fits)
-            found = levels[hops]
-        return found
+            below = levels[-1][0]
+            reach = []
+            for v, ns in enumerate(self.neighbors):
+                ball = adjacency[v]
+                for w in ns:
+                    ball |= below[w]
+                reach.append(ball & ~(1 << v))
+            # File each node under its own count, then OR the masks down
+            # from the top count, so fits[c] holds every count >= c.
+            fits = [0] * (n + 1)
+            for x, near in enumerate(reach):
+                fits[near.bit_count()] |= 1 << x
+            for c in range(n - 1, -1, -1):
+                fits[c] |= fits[c + 1]
+            levels.append((tuple(reach), tuple(fits)))
+        return levels[hops]
 
     def distance(self, a: int, b: int) -> int:
         return self.distances[a][b]

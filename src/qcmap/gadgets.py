@@ -286,9 +286,6 @@ def build_usp_gadget(h: Digraph, s: int, t: int) -> tuple[CouplingGraph, int, in
         # leaf-slot lands at depth exactly d.  Leaves are pre-allocated
         # connector nodes shared with the opposing tree.
         count = len(leaves)
-        if d == 0:
-            edges.append((anchor, leaves[0]))
-            return
         levels: list[list[int]] = []
         for k in range(d):
             width = -(-count // (1 << (d - k)))

@@ -18,14 +18,18 @@ interacting pair within K+1 hops; at K = 0 that is the embedding test of
 the interaction topology.  A count comes first: a qubit with d partners
 needs a node with d others within K+1 hops, and if the c-th largest
 degree has fewer than c such nodes (Hall's condition) the bucket has no
-seed and its backtrack never runs.  The count reads only the circuit's
-degrees and the room sets that ``CouplingGraph.within`` grows from the
-adjacency masks; the distance table, the backtrack's qubit order and the
-automorphism group are built after it, so a refuted bucket 0 builds none
-of them (bucket 1 reads the graph's diameter, and so its distance table,
-when it opens).  A fixed start is the one seed of its search, in the
-bucket of its own h.  ``_seeds`` decides both, so every search sweeps
-the buckets from 0 and records each seed it is given.
+seed and its backtrack never runs.  Seeding reads the room sets that
+``CouplingGraph.within`` grows from the adjacency masks, and the masks
+themselves: the count, the backtrack's hop limits and its tests for a
+lower bucket and for a gate that runs.  Seeding ends at the first bucket
+K >= 1 whose K-hop balls hold every node, since every placement's h is
+then below K.  The distance table is built when a bucket's count passes,
+or at once for a fixed start: the automorphism group and each state's
+first pass read it.  The backtrack's qubit order is built after a count
+passes too, so buckets the count refutes build none of them.  A fixed
+start is the one seed of its search, in the bucket of its own h.
+``_seeds`` decides both, so every search sweeps the buckets from 0 and
+records each seed it is given.
 Inside a bucket states are passed one at a time, deepest level first,
 and when the bucket runs dry the next seed is enumerated as its level-0
 entry; so the bucket that holds the optimum stops at its first finished
@@ -276,17 +280,20 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, .
     placements that break the hop limit are never extended.  Nothing is
     yielded, and nothing placed, when the degrees fail Hall's condition on
     the room sets of k+1 hops: the c-th largest degree must have room on
-    at least c nodes.  A placement that runs no gate (no pair of
-    ``info.front_pairs`` adjacent) is dropped once its interacting qubits
-    are placed, before the idle ones: each of its SWAP children is the
-    seed state of its own placement (see the module docstring).  A
-    placement is yielded only if, read in backtrack order (``info.backtrack``),
-    it is lexicographically no larger than its image under each of
-    ``graph.automorphisms``; under a complete group that is one placement
-    per orbit, its leader.  The test runs on every prefix, so no placement
-    below a prefix that cannot lead its orbit is built.  Call it with
-    k > 0 only if some pair interacts: with none, every placement has
-    h = 0.
+    at least c nodes.  The enumeration reads the ``graph.within`` balls of
+    k and k+1 hops and the adjacency masks, never the distance table; only
+    a fixed start reads it here, and otherwise ``graph.automorphisms``
+    builds it once a bucket's count passes.  A placement that runs no
+    gate (no pair of ``info.front_pairs`` adjacent) is dropped once its
+    interacting qubits are placed, before the idle ones: each of its SWAP
+    children is the seed state of its own placement (see the module
+    docstring).  A placement is yielded only if, read in backtrack order
+    (``info.backtrack``), it is lexicographically no larger than its
+    image under each of ``graph.automorphisms``; under a complete group
+    that is one placement per orbit, its leader.  The test runs on every
+    prefix, so no placement below a prefix that cannot lead its orbit is
+    built.  Call it with k > 0 only if some pair interacts: with none,
+    every placement has h = 0.
     """
     if start is not None:
         if max([graph.distances[start[a]][start[b]] for a, b in info.pairs], default=1) - 1 == k:
@@ -300,16 +307,19 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, .
     reach, room = graph.within(k + 1)
     if any(room[d].bit_count() < c for c, d in enumerate(info.degrees_down, 1)):
         return
+    if not info.num_qubits:
+        yield ()
+        return
     n = graph.num_nodes
-    dist = graph.distances
+    # Per node, the other nodes within k hops: a placement that keeps every
+    # pair there has h below k.
+    near = graph.within(k)[0]
+    adj = graph.adjacency_masks
     order, degree, back = info.backtrack
     # Per backtrack position, the nodes with room for the qubit's partners.
     fits = [room[d] for d in degree]
     pairs, front = info.pairs, info.front_pairs
-    num_active, num_qubits = info.num_active, len(order)
-    if not num_qubits:
-        yield ()
-        return
+    num_active, num_qubits = info.num_active, info.num_qubits
     # The lex-leader test, with the automorphisms as bits of a "tied" set:
     # the ones that fix every node placed so far.  A tied automorphism that
     # maps the next node lower makes the image smaller, so that node is
@@ -347,8 +357,8 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, .
         x = low.bit_length() - 1
         pos[order[i]] = x
         i += 1
-        if i == num_active and (all(dist[pos[a]][pos[b]] <= k for a, b in pairs) or
-                                front and all(dist[pos[a]][pos[b]] > 1 for a, b in front)):
+        if i == num_active and (all(near[pos[a]] >> pos[b] & 1 for a, b in pairs) or
+                                front and not any(adj[pos[a]] >> pos[b] & 1 for a, b in front)):
             i -= 1  # a seed of a lower bucket, or one that runs no gate
             continue
         if i == num_qubits:
@@ -380,12 +390,17 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     Buckets are swept from 0, and each records every seed that
     ``_seeds`` yields for it: a fixed ``start`` in the bucket of its own
     h, or for a free search (``start`` None) the orbit leaders of
-    ``graph.automorphisms`` that run a gate.  A free search drops a child
-    equal to its placement's seed state; a fixed start keeps it.  States
-    with f above ``bound`` are never built (``math.inf`` for a solve).
-    Returns (cost, initial placement, swaps) for the first finished
-    fragment, which is optimal, or None when nothing within the bound
-    finishes.
+    ``graph.automorphisms`` that run a gate.  Seeding reads the room sets
+    and the adjacency masks alone: it ends at the first bucket k >= 1
+    whose ``graph.within(k)`` balls hold every node, and a placement's
+    signature (its adjacent pairs) is read from the masks.  Only a
+    state's first pass reads the distance table, so it is built when a
+    bucket's count passes, or at once for a fixed start.  A free search
+    drops a child equal to its placement's seed state; a fixed start
+    keeps it.  States with f above ``bound`` are never built
+    (``math.inf`` for a solve).  Returns (cost, initial placement, swaps)
+    for the first finished fragment, which is optimal, or None when
+    nothing within the bound finishes.
 
     One loop per bucket k passes one frontier entry at a time: it pops
     the entry at the deepest level, and when the bucket runs dry it takes
@@ -404,10 +419,8 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     """
     n = graph.num_nodes
     nbrs = graph.neighbors
+    adjacency = graph.adjacency_masks
     stride = n * n
-    # The distance table, read when the first placement is interned: a
-    # bucket whose seeds the Hall count refutes never builds it.
-    dist = None
     pairs = info.pairs
     npairs = len(pairs)
     gate_qubits = info.gate_qubits
@@ -421,9 +434,11 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     nslots = nq * width
     slot_mask = (1 << nslots) - 1
     free_start = start is None
-    # Buckets are swept from 0 and seeded up to seed_max, the largest h a
-    # placement can have, read when bucket 1 opens.
-    k = seed_max = 0
+    # Buckets are swept from 0, and seeded until the first k >= 1 at which
+    # every node has all n - 1 others within k hops: every placement's h is
+    # then below k.  (A circuit with no pair finishes in bucket 0.)
+    k = 0
+    seeding = True
 
     # Interned placements, with per placement the bitmask of adjacent pairs
     # (its signature) and its seed fragment, the full circuit reduced on it.
@@ -444,7 +459,7 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
         places.append(phys)
         sig = 0
         for pi, (a, b) in enumerate(pairs):
-            if dist[phys[a]][phys[b]] == 1:
+            if adjacency[phys[a]] >> phys[b] & 1:
                 sig |= 1 << pi
         sigs.append(sig)
         m0 = reduce_memo.get(full << npairs | sig)
@@ -506,12 +521,12 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     # f -> level -> frontier entries filed there, not yet passed.
     buckets: dict[int, dict[int, list[int]]] = {}
     while k <= bound:
-        if k == 1 and pairs:
-            seed_max = graph.diameter - 1
-        if k > seed_max and not buckets:
+        if seeding and k:
+            seeding = graph.within(k)[1][n - 1].bit_count() < n
+        if not seeding and not buckets:
             return None
         cur = buckets.setdefault(k, {})
-        seeds = _seeds(info, graph, k, start) if k <= seed_max else iter(())
+        seeds = _seeds(info, graph, k, start) if seeding else iter(())
         while True:
             if cur:
                 # The deepest entry, so a state's children pass before its
@@ -531,8 +546,6 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                     break
                 idx = index.get(phys)
                 if idx is None:
-                    if dist is None:
-                        dist = graph.distances
                     idx = intern(phys)
                 key = idx << gbits | seed_of[idx]
                 closed[key] = 0
@@ -548,6 +561,7 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                 if not m:
                     return replay(key)  # only a seed is still finished here
                 top = k - level + 1  # the parent's own far
+                dist = graph.distances
                 at = dict(zip(phys, range(len(phys))))
                 pend = pending_memo.get(m)
                 if pend is None:

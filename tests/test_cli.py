@@ -51,6 +51,17 @@ class TestSolve:
         plan = load_plan(plan_path)
         assert len(plan.swaps) == 1
 
+    def test_zero_qubit_circuit(self, tmp_path, triangle_files):
+        _, graph = triangle_files
+        circuit = tmp_path / "empty.qc"
+        circuit.write_text("qubits 0\n")
+        plan_path = tmp_path / "out.plan"
+        proc = run_cli("solve", "--circuit", circuit, "--graph", graph, "--plan", plan_path)
+        assert (proc.returncode, proc.stdout.strip()) == (0, "0"), proc.stderr
+        assert plan_path.read_text() == "init\n"
+        proc = run_cli("verify", "--circuit", circuit, "--graph", graph, "--plan", plan_path)
+        assert (proc.returncode, proc.stdout.strip()) == (0, "accepted swaps_used=0"), proc.stderr
+
     def test_infeasible_prints_inf(self, tmp_path, triangle_files):
         circuit, _ = triangle_files
         graph = tmp_path / "tiny.cg"

@@ -575,9 +575,12 @@ class TestHallCount:
 
     def test_refuted_bucket_never_backtracks(self, monkeypatch):
         # The count comes first, on room sets grown from the adjacency
-        # masks: a budget-0 decide it refutes builds neither the distance
-        # table nor the group, nor the backtrack's qubit order.  One that
-        # the count passes builds all three.
+        # masks, and seeding reads those sets alone: a decide whose buckets
+        # up to its budget the count all refutes builds neither the
+        # distance table, its diameter nor the group, nor the backtrack's
+        # qubit order.  One that the count passes builds the table, the
+        # group and the order.  On a path a qubit of degree 5 fits within
+        # neither 1 nor 2 hops, and one of degree 3 fits within 2 only.
         from qcmap.mapper import _CircuitInfo
         orders = []
         backtrack = _CircuitInfo.backtrack
@@ -587,13 +590,19 @@ class TestHallCount:
             return backtrack.__get__(info, _CircuitInfo)
 
         monkeypatch.setattr(_CircuitInfo, "backtrack", property(recorded))
-        text = format_graph(CouplingGraph(7, [*cycle(6).edges, (0, 6)]))
-        for c, refuted in ((gen_cycle_circuit(7), True), (gen_path_circuit(7), False)):
-            assert self.refutes(c, parse_graph(text), 0) == refuted
+        ring_pendant = format_graph(CouplingGraph(7, [*cycle(6).edges, (0, 6)]))
+        path = format_graph(linear(40))
+        for text, c, budget, refuted, fits in (
+                (ring_pendant, gen_cycle_circuit(7), 0, True, False),
+                (ring_pendant, gen_path_circuit(7), 0, False, True),
+                (path, gen_clique_circuit(6), 1, True, False),
+                (path, gen_clique_circuit(4), 1, False, False)):
+            assert self.refutes(c, parse_graph(text), budget) == refuted
+            assert all(self.refutes(c, parse_graph(text), k) for k in range(budget))
             g = parse_graph(text)
             orders.clear()
-            assert decide(c, g, 0) != refuted
-            built = {"distances", "automorphisms"} & set(vars(g))
+            assert decide(c, g, budget) == fits
+            built = {"distances", "diameter", "automorphisms"} & set(vars(g))
             if refuted:
                 assert not built and not orders, (built, orders)
             else:
@@ -960,14 +969,37 @@ class TestBoundedSearchAgainstBruteForce:
                 assert_strict_plan(strict.plan)
 
 
+class TestZeroQubits:
+    """The circuit on no qubits: its one placement is the empty one, it
+    is finished before any SWAP and its plan is a bare ``init`` line."""
+
+    GRAPHS = (linear(3), CouplingGraph(1, []))
+
+    def test_every_entry_point_costs_zero(self):
+        c = Circuit(0, [])
+        for g in self.GRAPHS:
+            for strict in (False, True):
+                for res in (solve_exact(c, g, strict=strict),
+                            solve_from(c, g, Placement(()), strict=strict)):
+                    assert res == MapResult(0, SwapPlan(Placement(()), ())), (g, strict)
+                    assert verify_plan(c, g, res.plan).accepted
+                assert decide(c, g, 0, strict=strict)
+                for p0 in (None, Placement(())):
+                    levels = search_levels(c, g, p0, strict=strict)
+                    assert [[s.placement for s in entry] for entry in levels] == [[Placement(())]]
+
+
 class TestPlanSerialization:
     def test_round_trip(self):
-        plan = SwapPlan(Placement((2, 0, 3)), ((0, 1), (1, 2)))
-        assert parse_plan(format_plan(plan)) == plan
+        for plan in (SwapPlan(Placement((2, 0, 3)), ((0, 1), (1, 2))),
+                     solve_exact(Circuit(0, []), linear(3)).plan):
+            assert parse_plan(format_plan(plan)) == plan
 
     def test_text_shape(self):
         text = format_plan(SwapPlan(Placement((1, 0)), ((0, 1),)))
         assert text.splitlines() == ["init 0:1 1:0", "swap 0 1"]
+        # A zero-qubit plan is a bare init line.
+        assert format_plan(solve_exact(Circuit(0, []), linear(3)).plan) == "init\n"
 
     def test_parse_errors(self):
         with pytest.raises(ParseError) as e:
@@ -991,16 +1023,17 @@ class TestTraceDigest:
     """A sha256 over everything the search shows: each ``on_level`` call,
     each plan and cost, each ``ResourceLimitError`` text and, for a free
     search with a finite optimum, ``decide`` at 0, opt-1 and opt.  The
-    digest was recorded before the set-up behind the Hall count was made
-    lazy; a change that reorders the search records a new one and says so
-    in CHANGES.md."""
+    digest was recorded before seeding stopped reading the distance table,
+    when the zero-qubit circuit joined the corpus; a change that reorders
+    the search records a new one and says so in CHANGES.md."""
 
-    DIGEST = "6c1910dbf5435aece21a714e2d416690578c9ec139e3f07d4812218fb8940d3e"
+    DIGEST = "519269aad91bc22ff641312e920aad562ee767994c22a8d6208c3a996f0e5d24"
 
     @staticmethod
     def corpus():
         """Seeded (circuit, graph, start, strict, state_cap) cases on seven
-        small graphs: free and strict searches, fixed starts and small caps."""
+        small graphs: free and strict searches, fixed starts and small caps,
+        and on each graph the zero-qubit circuit."""
         rng = random.Random(1801)
         star = CouplingGraph(6, [(0, leaf) for leaf in range(1, 6)])
         ring_pendant = CouplingGraph(6, [*cycle(5).edges, (0, 5)])
@@ -1022,6 +1055,10 @@ class TestTraceDigest:
                     yield c, g, None, strict, DEFAULT_STATE_CAP
                     yield c, g, start, strict, DEFAULT_STATE_CAP
                 yield c, g, None, False, rng.choice((3, 12, 40))
+            empty = Circuit(0, [])
+            for strict in (False, True):
+                yield empty, g, None, strict, DEFAULT_STATE_CAP
+                yield empty, g, Placement(()), strict, 1
 
     @staticmethod
     def digest(cases) -> str:
