@@ -25,13 +25,21 @@ class Gate:
     qubits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.label or any(ch.isspace() for ch in self.label) or "#" in self.label:
-            raise ValueError(f"bad gate label {self.label!r}")
-        if len(self.qubits) not in (1, 2):
-            raise ValueError(f"gate {self.index}: expected 1 or 2 operands, got {len(self.qubits)}")
-        if len(self.qubits) == 2 and self.qubits[0] == self.qubits[1]:
-            raise ValueError(f"gate {self.index}: two-qubit gate operands must differ")
-        if any(q < 0 for q in self.qubits):
+        # One gate is built per circuit line, so the checks use C-level
+        # operations: a label that split() leaves whole is non-empty and
+        # holds no whitespace.
+        label, qubits = self.label, self.qubits
+        if not isinstance(label, str) or label.split() != [label] or "#" in label:
+            raise ValueError(f"bad gate label {label!r}")
+        if len(qubits) == 2:
+            a, b = qubits
+            if a == b:
+                raise ValueError(f"gate {self.index}: two-qubit gate operands must differ")
+        elif len(qubits) == 1:
+            a = b = qubits[0]
+        else:
+            raise ValueError(f"gate {self.index}: expected 1 or 2 operands, got {len(qubits)}")
+        if a < 0 or b < 0:
             raise ValueError(f"gate {self.index}: negative qubit index")
 
     @property
@@ -49,7 +57,7 @@ class Circuit:
         for pos, g in enumerate(gates):
             if g.index != pos:
                 raise ValueError(f"gate at position {pos} carries index {g.index}")
-            if any(q >= num_qubits for q in g.qubits):
+            if max(g.qubits) >= num_qubits:
                 raise ValueError(f"gate {pos} operates qubit outside [0, {num_qubits})")
         self.num_qubits = num_qubits
         self.gates = gates

@@ -2,6 +2,10 @@
 
 Exit codes: 0 success (or "yes"), 1 "no"/rejected, 2 usage or validation
 error, 3 resource guard tripped.
+
+``qcmap.bench`` and ``qcmap.gadgets`` are imported by the handlers that use
+them (``gen-circuit``, ``reduce``, ``bench``), so ``solve``, ``decide`` and
+``verify`` never load them.
 """
 
 from __future__ import annotations
@@ -11,15 +15,9 @@ import math
 import sys
 from pathlib import Path
 
-from .bench import emit_csv, gen_random_circuit, run_benchmark, RandomCircuitSpec
 from .coupling import FAMILIES, gen
 from .errors import ResourceLimitError
 from .formats import format_circuit, format_graph, load_circuit, load_graph, load_plan, save_plan
-from .gadgets import (
-    gen_clique_circuit, gen_cycle_circuit, gen_path_circuit,
-    reduce_clique_to_qcm, reduce_hamcycle_to_fixed_k, reduce_hamcycle_to_hampath_qcm,
-    reduce_hamcycle_to_qcm, reduce_usp_to_qcm, save_instance,
-)
 from .mapper import DEFAULT_STATE_CAP, decide, solve_exact
 from .oracle import verify_plan
 
@@ -82,17 +80,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_gen_circuit(args: argparse.Namespace) -> int:
     if args.kind == "random":
+        from .bench import RandomCircuitSpec, gen_random_circuit
+
         if args.qubits is None or args.gates is None:
             raise ValueError("random circuits need --qubits and --gates")
         spec = RandomCircuitSpec(args.qubits, args.gates,
                                  args.two_qubit_fraction, args.seed)
         c = gen_random_circuit(spec)
     else:
+        from . import gadgets
+
         if args.size is None:
             raise ValueError(f"{args.kind} circuits need --size")
-        builder = {"clique": gen_clique_circuit, "path": gen_path_circuit,
-                   "cycle": gen_cycle_circuit}[args.kind]
-        c = builder(args.size)
+        c = getattr(gadgets, f"gen_{args.kind}_circuit")(args.size)
     return _write_or_print(format_circuit(c), args.out)
 
 
@@ -100,18 +100,20 @@ def _cmd_gen_graph(args: argparse.Namespace) -> int:
     return _write_or_print(format_graph(gen(args.family, *args.params)), args.out)
 
 
-# Per ``reduce --from`` kind: the builder, and the flags it takes after
-# the graph, in order.
+# Per ``reduce --from`` kind: the name of the builder in ``qcmap.gadgets``,
+# and the flags it takes after the graph, in order.
 _REDUCTIONS = {
-    "clique": (reduce_clique_to_qcm, ("n",)),
-    "hamcycle": (reduce_hamcycle_to_qcm, ()),
-    "hampath": (reduce_hamcycle_to_hampath_qcm, ()),
-    "usp": (reduce_usp_to_qcm, ("s", "t", "k")),
-    "fixed-k": (reduce_hamcycle_to_fixed_k, ("k",)),
+    "clique": ("reduce_clique_to_qcm", ("n",)),
+    "hamcycle": ("reduce_hamcycle_to_qcm", ()),
+    "hampath": ("reduce_hamcycle_to_hampath_qcm", ()),
+    "usp": ("reduce_usp_to_qcm", ("s", "t", "k")),
+    "fixed-k": ("reduce_hamcycle_to_fixed_k", ("k",)),
 }
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    from . import gadgets
+
     g = load_graph(args.graph)
     kind = getattr(args, "from")
     builder, flags = _REDUCTIONS[kind]
@@ -120,14 +122,16 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         names = [f"--{f}" for f in flags]
         needs = names[0] if len(names) == 1 else f"{', '.join(names[:-1])} and {names[-1]}"
         raise ValueError(f"{kind} reduction needs {needs}")
-    inst = builder(g, *values)
-    save_instance(inst, args.out)
+    inst = getattr(gadgets, builder)(g, *values)
+    gadgets.save_instance(inst, args.out)
     print(f"budget {inst.budget} provenance {inst.provenance}")
     print(f"wrote {args.out}.qc {args.out}.cg {args.out}.hdr")
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import emit_csv, run_benchmark
+
     rows = run_benchmark(
         args.qubits, _parse_range(args.gates), args.samples, args.seed,
         two_qubit_fraction=args.two_qubit_fraction, graph_nodes=args.graph_nodes,

@@ -184,6 +184,8 @@ class CouplingGraph:
         mapper seeds from these sets and the adjacency masks alone; its
         distance table is built when a bucket's count passes, or at once
         for a fixed start."""
+        if hops < 0:
+            raise ValueError(f"hops must be >= 0, got {hops}")
         levels = self._within
         while len(levels) <= hops:
             n = self.num_nodes
@@ -206,6 +208,9 @@ class CouplingGraph:
         return levels[hops]
 
     def distance(self, a: int, b: int) -> int:
+        for v in (a, b):
+            if not 0 <= v < self.num_nodes:
+                raise ValueError(f"node {v} outside graph")
         return self.distances[a][b]
 
     @cached_property

@@ -88,7 +88,7 @@ def parse_circuit(text: str) -> Circuit:
         if len(tokens) not in (2, 3):
             raise ParseError("expected '<label> <q>' or '<label> <q1> <q2>'", lineno)
         qubits = _ints(tokens[1:], lineno, "qubit index in", line)
-        if any(q >= num_qubits for q in qubits):
+        if max(qubits) >= num_qubits:
             raise ParseError(f"qubit index outside [0, {num_qubits})", lineno)
         try:
             gates.append(Gate(len(gates), tokens[0], qubits))

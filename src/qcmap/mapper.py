@@ -103,11 +103,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .circuits import Circuit
 from .coupling import CouplingGraph
 from .errors import ResourceLimitError
-from .subcircuits import Subcircuit, SubcircuitDescriptor, descriptor
+
+if TYPE_CHECKING:
+    from .subcircuits import SubcircuitDescriptor
 
 DEFAULT_STATE_CAP = 1_000_000
 
@@ -753,6 +756,8 @@ def search_levels(c: Circuit, g: CouplingGraph, p0: Placement | None = None, *,
     seed that runs no gate is then never built, and no state above level
     0 equals the seed state of its placement.
     """
+    from .subcircuits import Subcircuit, descriptor
+
     collected: list[list[SearchState]] = []
 
     def snap(_bound: int, _level: int, phys: tuple[int, ...], mask: int) -> None:

@@ -1,13 +1,17 @@
+import hashlib
+
 import pytest
 
 from qcmap import (
     Circuit,
     Gate,
     ParseError,
+    RandomCircuitSpec,
     build_dependency_graph,
     build_layers,
     build_topology_graph,
     format_circuit,
+    gen_random_circuit,
     load_circuit,
     parse_circuit,
     save_circuit,
@@ -142,3 +146,115 @@ class TestSerialization:
         path = tmp_path / "example.qc"
         save_circuit(c, path)
         assert load_circuit(path) == c
+
+
+# Every input that the constructors reject, with the exception's type and
+# text, recorded at commit 62b27aa.  Rows with two faults pin the order of
+# the checks: label, operand count, equal operands, negative operands; then,
+# per gate in sequence order, the index and the range.
+BAD_GATES = [
+    (("", (0, 1)), "bad gate label ''"),
+    ((" ", (0, 1)), "bad gate label ' '"),
+    (("c\tx", (0, 1)), "bad gate label 'c\\tx'"),
+    (("cx\n", (0, 1)), "bad gate label 'cx\\n'"),
+    (("c\u00a0x", (0, 1)), "bad gate label 'c\\xa0x'"),
+    (("c#x", (0, 1)), "bad gate label 'c#x'"),
+    ((None, (0, 1)), "bad gate label None"),
+    (("h", ()), "gate 3: expected 1 or 2 operands, got 0"),
+    (("ccx", (0, 1, 2)), "gate 3: expected 1 or 2 operands, got 3"),
+    (("cx", (1, 1)), "gate 3: two-qubit gate operands must differ"),
+    (("h", (-1,)), "gate 3: negative qubit index"),
+    (("cx", (-1, 0)), "gate 3: negative qubit index"),
+    (("cx", (0, -1)), "gate 3: negative qubit index"),
+    (("c x", ()), "bad gate label 'c x'"),
+    (("c x", (1, 1)), "bad gate label 'c x'"),
+    (("#", (-1,)), "bad gate label '#'"),
+    (("", (0, 1, 2)), "bad gate label ''"),
+    (("ccx", (0, 0, -1)), "gate 3: expected 1 or 2 operands, got 3"),
+    (("cx", (-1, -1)), "gate 3: two-qubit gate operands must differ"),
+]
+
+BAD_CIRCUITS = [
+    ((2, [(1, "h", (0,))]), "gate at position 0 carries index 1"),
+    ((3, [(0, "h", (0,)), (2, "cx", (0, 1))]), "gate at position 1 carries index 2"),
+    ((2, [(0, "cx", (0, 2))]), "gate 0 operates qubit outside [0, 2)"),
+    ((2, [(0, "cx", (2, 0))]), "gate 0 operates qubit outside [0, 2)"),
+    ((2, [(0, "h", (2,))]), "gate 0 operates qubit outside [0, 2)"),
+    ((0, [(0, "h", (0,))]), "gate 0 operates qubit outside [0, 0)"),
+    ((-1, [(0, "h", (0,))]), "num_qubits must be >= 0"),
+    ((2, [(1, "cx", (0, 5))]), "gate at position 0 carries index 1"),
+    ((2, [(0, "cx", (0, 5)), (2, "h", (0,))]), "gate 0 operates qubit outside [0, 2)"),
+    ((2, [(0, "h", (0,)), (1, "h", (2,)), (1, "h", (0,))]),
+     "gate 1 operates qubit outside [0, 2)"),
+]
+
+BAD_TEXTS = [
+    ("qubits 2\ncx 0 2\n", "line 2: qubit index outside [0, 2)"),
+    ("qubits 3\nh 0\ncx 5 1\n", "line 3: qubit index outside [0, 3)"),
+    ("qubits 0\nh 0\n", "line 2: qubit index outside [0, 0)"),
+    ("qubits 2\ncx 1 1\n", "line 2: gate 0: two-qubit gate operands must differ"),
+    ("qubits 2\nh -1\n", "line 2: gate 0: negative qubit index"),
+    ("qubits 2\ncx 0 -3\n", "line 2: gate 0: negative qubit index"),
+    ("qubits 2\nc\u00a0x 0 1\n", "line 2: expected '<label> <q>' or '<label> <q1> <q2>'"),
+    ("qubits 2\ncx 2 2\n", "line 2: qubit index outside [0, 2)"),
+    ("qubits 2\ncx -1 2\n", "line 2: qubit index outside [0, 2)"),
+    ("qubits 2\ncx -1 -1\n", "line 2: gate 0: two-qubit gate operands must differ"),
+    ("qubits 2\ncx 0 1 # c#x\nh 2\n", "line 3: qubit index outside [0, 2)"),
+]
+
+
+class TestRejections:
+    @pytest.mark.parametrize("args, message", BAD_GATES)
+    def test_gate(self, args, message):
+        with pytest.raises(ValueError) as e:
+            Gate(3, *args)
+        assert type(e.value) is ValueError and str(e.value) == message
+
+    def test_label_that_is_not_a_string(self):
+        # Rejected like any other bad label, not with a TypeError from the
+        # string methods the check calls.
+        with pytest.raises(ValueError, match=r"^bad gate label 5$"):
+            Gate(0, 5, (0, 1))
+
+    @pytest.mark.parametrize("args, message", BAD_CIRCUITS)
+    def test_circuit(self, args, message):
+        num_qubits, gates = args
+        gates = [Gate(*g) for g in gates]
+        with pytest.raises(ValueError) as e:
+            Circuit(num_qubits, gates)
+        assert type(e.value) is ValueError and str(e.value) == message
+
+    @pytest.mark.parametrize("text, message", BAD_TEXTS)
+    def test_text(self, text, message):
+        with pytest.raises(ParseError) as e:
+            parse_circuit(text)
+        assert str(e.value) == message
+
+    def test_whitespace_labels(self):
+        # The label check splits on what str.isspace() calls whitespace.
+        for ch in map(chr, range(0x3000 + 1)):
+            label = f"c{ch}x"
+            bad = ch.isspace() or ch == "#"
+            try:
+                Gate(0, label, (0,))
+            except ValueError:
+                assert bad, repr(ch)
+            else:
+                assert not bad, repr(ch)
+
+
+class TestRandomCircuitDigest:
+    """A sha256 over the text of seeded random circuits: q 2-6, 1-30 gates,
+    two-qubit fractions 0, 0.5 and 1.  It guards the generator's RNG stream
+    and the circuit text; recorded at commit 62b27aa."""
+
+    DIGEST = "b33060ac9338538ebeccf06f3b06b7bc40b576091fc5f3a58548292ad6d72697"
+
+    def test_digest(self):
+        h = hashlib.sha256()
+        for q in range(2, 7):
+            for g in range(1, 31):
+                for frac in (0.0, 0.5, 1.0):
+                    spec = RandomCircuitSpec(q, g, frac, 100 * q + g)
+                    h.update(format_circuit(gen_random_circuit(spec)).encode())
+        assert h.hexdigest() == self.DIGEST

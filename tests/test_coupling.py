@@ -198,6 +198,13 @@ class TestMetrics:
             assert g.distance(a, b) == g.distance(b, a) == 1
             assert g.has_edge(a, b) and g.has_edge(b, a)
 
+    @pytest.mark.parametrize("a, b, bad", [(-2, 0, -2), (0, -1, -1), (5, 0, 5), (1, 7, 7),
+                                           (-1, 9, -1)])
+    def test_distance_rejects_nodes_outside(self, a, b, bad):
+        # Python's negative indexing must not read -2 as node 3.
+        with pytest.raises(ValueError, match=rf"^node {bad} outside graph$"):
+            linear(5).distance(a, b)
+
     def test_adjacency_masks(self):
         g = grid_square(2, 2)
         for v in range(4):
@@ -237,6 +244,14 @@ class TestWithin:
                 for hops in hop_order:
                     assert g.within(hops) == tables[hops], (g, hops)
                 assert "distances" not in vars(g), g
+
+    def test_negative_hops_rejected(self):
+        # A negative hop count must not read a level from the end of the list.
+        g = linear(5)
+        for built in (0, 3):
+            g.within(built)
+            with pytest.raises(ValueError, match="hops"):
+                g.within(-1)
 
 
 class TestAutomorphisms:
