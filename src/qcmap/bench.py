@@ -163,7 +163,10 @@ def run_benchmark(qubits: int, gate_range, samples: int, seed: int, *,
     All gate counts share one process pool of min(threads, CPUs, chunks)
     workers; with one worker the solves run in this process.  The pool is
     kept for later calls that need as many workers, rebuilt when the count
-    changes or a call raised, and shut down when this process exits.
+    changes or a call raised, and shut down when this process exits.  The
+    arguments, the gate counts (distinct) and the draw parameters are
+    checked before any job is dispatched, so a rejected call keeps the
+    pool.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -175,6 +178,13 @@ def run_benchmark(qubits: int, gate_range, samples: int, seed: int, *,
     if nodes < qubits:
         raise ValueError(f"graph_nodes ({nodes}) must be at least qubits ({qubits})")
     gates = list(gate_range)
+    # Rows are summed per gate count, so a repeated count would sum twice.
+    if len(set(gates)) != len(gates):
+        raise ValueError("gate counts must be distinct")
+    # The draws' own checks, here and not in a worker, so that a rejected
+    # call neither starts nor discards a pool.
+    for gt in gates:
+        RandomCircuitSpec(qubits, gt, two_qubit_fraction)
     workers = min(threads, os.cpu_count() or 1)
     step = -(-samples // workers)
     jobs = []

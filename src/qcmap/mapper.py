@@ -49,6 +49,14 @@ again, at its own level, in buckets K+1 and K+2 with the SWAPs to build
 there.  So no child above the optimum, or above a decide's budget, is
 ever built or recorded, and none is built twice.
 
+A pass spends its work on the edges at the placement's qubits.  It
+fills a node -> qubit occupancy list once, which the first pass's slot
+test and the child build read.  The first pass reads the fragment's
+pending pairs from a memo: a fragment seen for the first time ORs the
+per-pair gate masks of ``_CircuitInfo`` into its pair mask, in O(pairs)
+and not O(gates), and fragments with one pair mask share one entry.
+Nothing is kept per placement but its signature and its seed fragment.
+
 Seeds and children take one path: a new state is recorded in a closed
 map, which ``state_cap`` bounds, then returned if it is finished or else
 passed in its bucket.  The closed map is written once per
@@ -124,7 +132,7 @@ class Placement:
     def __post_init__(self) -> None:
         if len(set(self.to_physical)) != len(self.to_physical):
             raise ValueError("placement must be injective")
-        if any(p < 0 for p in self.to_physical):
+        if self.to_physical and min(self.to_physical) < 0:
             raise ValueError("negative node index in placement")
 
     @classmethod
@@ -192,55 +200,69 @@ class SearchState:
 
 
 class _CircuitInfo:
-    """Preprocessed per-solve tables: operand pairs, the front gates'
-    pairs, per-gate qubit masks, per-qubit partner masks and the degrees in
-    decreasing order, all from one pass over the gates.  The seed
-    backtrack's qubit order is built on first use (``backtrack``), so a
-    bucket that the Hall count refutes never builds it."""
+    """Preprocessed per-solve tables: operand pairs, per pair the bitmask
+    of its gates, the front gates' pairs, per-gate qubit masks, per-qubit
+    partner masks and the degrees in decreasing order, all from one pass
+    over the gates.  The seed backtrack's qubit order is built on first
+    use (``backtrack``), so a bucket that the Hall count refutes never
+    builds it."""
 
     def __init__(self, c: Circuit):
+        gates = c.gates
         self.num_qubits = c.num_qubits
         self.all_qubits = (1 << c.num_qubits) - 1
-        self.num_gates = len(c.gates)
-        self.full_mask = (1 << len(c.gates)) - 1
+        self.num_gates = len(gates)
+        self.full_mask = (1 << len(gates)) - 1
         # Per gate: the bitmask of its qubits and the index of its operand
         # pair among the distinct pairs in order of first use (-1 for
-        # single-qubit gates).  The front gates are those that share no
-        # qubit with an earlier gate: a placement runs a gate iff one of
-        # them is single-qubit or has adjacent operands.
+        # single-qubit gates); per pair, the bitmask of its gates.  The
+        # front gates are those that share no qubit with an earlier gate: a
+        # placement runs a gate iff one of them is single-qubit or has
+        # adjacent operands.
         index: dict[tuple[int, int], int] = {}
         partners = [0] * c.num_qubits
         gate_qubits = []
         gate_pair = []
+        pair_gates = []
         front, seen = [], 0
-        for g in c.gates:
-            if len(g.qubits) == 2:
-                a, b = g.qubits
+        front_single = False
+        bit = 1  # the current gate's bit
+        for g in gates:
+            qubits = g.qubits
+            if len(qubits) == 2:
+                a, b = qubits
                 qs = 1 << a | 1 << b
                 key = (a, b) if a < b else (b, a)
                 pi = index.get(key)
                 if pi is None:
-                    pi = index[key] = len(index)
+                    pi = index[key] = len(pair_gates)
                     partners[a] |= 1 << b
                     partners[b] |= 1 << a
+                    pair_gates.append(bit)
+                else:
+                    pair_gates[pi] |= bit
                 gate_pair.append(pi)
+                if not qs & seen:
+                    front.append(qubits)
             else:
-                qs = 1 << g.qubits[0]
+                qs = 1 << qubits[0]
                 gate_pair.append(-1)
+                if not qs & seen:
+                    front_single = True
             gate_qubits.append(qs)
-            if not qs & seen:
-                front.append(g.qubits)
             seen |= qs
+            bit <<= 1
         self.gate_qubits = tuple(gate_qubits)
         self.gate_pair = tuple(gate_pair)
+        self.pair_gates = tuple(pair_gates)
         self.pairs = list(index)
         # The front gates' operand pairs; none when every placement runs a
         # gate, because a front gate is single-qubit or the circuit is empty.
-        self.front_pairs = tuple(front) if all(len(qs) == 2 for qs in front) else ()
+        self.front_pairs = () if front_single else tuple(front)
         self.partners = partners
         self.num_active = len(partners) - partners.count(0)
         # The degrees in decreasing order, for the count in _seeds.
-        self.degrees_down = tuple(sorted((p.bit_count() for p in partners), reverse=True))
+        self.degrees_down = tuple(sorted(map(int.bit_count, partners), reverse=True))
 
     @cached_property
     def backtrack(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -308,8 +330,11 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, .
     # them: when it fails, no placement gives every qubit a distinct node
     # with room for its partners.
     reach, room = graph.within(k + 1)
-    if any(room[d].bit_count() < c for c, d in enumerate(info.degrees_down, 1)):
-        return
+    c = 0
+    for d in info.degrees_down:
+        c += 1
+        if room[d].bit_count() < c:
+            return
     if not info.num_qubits:
         yield ()
         return
@@ -360,10 +385,22 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, .
         x = low.bit_length() - 1
         pos[order[i]] = x
         i += 1
-        if i == num_active and (all(near[pos[a]] >> pos[b] & 1 for a, b in pairs) or
-                                front and not any(adj[pos[a]] >> pos[b] & 1 for a, b in front)):
-            i -= 1  # a seed of a lower bucket, or one that runs no gate
-            continue
+        if i == num_active:
+            # Drop a seed of a lower bucket (every pair within k hops) and
+            # one that runs no gate (no front pair adjacent).
+            for a, b in pairs:
+                if not near[pos[a]] >> pos[b] & 1:
+                    break
+            else:
+                i -= 1
+                continue
+            if front:
+                for a, b in front:
+                    if adj[pos[a]] >> pos[b] & 1:
+                        break
+                else:
+                    i -= 1
+                    continue
         if i == num_qubits:
             i -= 1
             yield tuple(pos)
@@ -414,6 +451,16 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     SWAPs whose children land there.  A pass builds the children whose f
     is k and files them at the next level of bucket k.
 
+    Each pass fills the placement's occupancy (node -> qubit, or -1)
+    once, in one list that the search reuses; the slot test reads it for
+    the qubit across each edge and the child build for the qubit to move
+    back.  A first pass reads the
+    fragment's pending pairs and per-qubit partners from
+    ``pending_memo``; on a fragment's first visit its pair mask is ORed
+    from ``info.pair_gates``, and ``by_pairs`` keeps one entry per pair
+    mask.  Per interned placement only its signature and seed fragment
+    are stored; an occupancy table per placement was measured no faster.
+
     ``on_level(k, level, placement, fragment mask)`` sees each state on
     its first pass, a seed that finished included, so each state is
     reported once.  ``state_cap`` bounds the closed-map records: each
@@ -426,6 +473,7 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     stride = n * n
     pairs = info.pairs
     npairs = len(pairs)
+    pair_gates = info.pair_gates
     gate_qubits = info.gate_qubits
     all_qubits = info.all_qubits
     gate_pair = info.gate_pair
@@ -451,10 +499,16 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     seed_of: list[int] = []
     reduce_memo: dict[int, int] = {}  # (fragment, sig) -> reduced fragment
     # Fragment -> the operand pairs of its pending two-qubit gates, and per
-    # qubit its partners in those pairs.
+    # qubit its partners in those pairs.  Every fragment with the same pair
+    # mask (bit i: a pending gate acts on pairs[i]) shares one entry.
     pending_memo: dict[int, tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]] = {}
+    by_pairs: dict[int, tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]] = {}
     # State key (placement index << gates | fragment) -> parent link.
     closed: dict[int, int] = {}
+    # Node -> the qubit on it in the placement being passed, or -1: filled
+    # at the start of each pass and cleared at its end, so that no pass
+    # allocates one.
+    occ = [-1] * n
 
     def intern(phys: tuple[int, ...]) -> int:
         idx = len(places)
@@ -493,12 +547,22 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
         return out
 
     def pending(mask: int):
-        pend = tuple({pairs[pi] for i, pi in enumerate(gate_pair) if pi >= 0 and mask >> i & 1})
-        partners: list[list[int]] = [[] for _ in range(nq)]
-        for a, b in pend:
-            partners[a].append(b)
-            partners[b].append(a)
-        found = pending_memo[mask] = pend, tuple(map(tuple, partners))
+        # The pair mask from the per-pair gate masks, in O(pairs).
+        pm = 0
+        for pi, gm in enumerate(pair_gates):
+            if gm & mask:
+                pm |= 1 << pi
+        found = by_pairs.get(pm)
+        if found is None:
+            pend = []
+            partners: list[list[int]] = [[] for _ in range(nq)]
+            for pi, (a, b) in enumerate(pairs):
+                if pm >> pi & 1:
+                    pend.append((a, b))
+                    partners[a].append(b)
+                    partners[b].append(a)
+            found = by_pairs[pm] = tuple(pend), tuple(map(tuple, partners))
+        pending_memo[mask] = found
         return found
 
     def replay(key: int) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
@@ -556,6 +620,8 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                     raise over_cap(0)
                 level = todo = 0
             m = key & full
+            for i, p in enumerate(phys):
+                occ[p] = i
             if not todo:
                 # First pass: report the state, then sort its SWAPs by the
                 # bucket of their children, computed from the parent alone.
@@ -565,7 +631,6 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                     return replay(key)  # only a seed is still finished here
                 top = k - level + 1  # the parent's own far
                 dist = graph.distances
-                at = dict(zip(phys, range(len(phys))))
                 pend = pending_memo.get(m)
                 if pend is None:
                     pend = pending(m)
@@ -590,8 +655,8 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                 for i, p in enumerate(phys):
                     mine = partners[i]
                     for e, w in enumerate(nbrs[p]):
-                        j = at.get(w)
-                        if j is None:
+                        j = occ[w]
+                        if j < 0:
                             if strict:
                                 continue
                             covered = tops[i] == ntop
@@ -605,7 +670,7 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                             d = row[phys[x]]
                             if d > far:
                                 far = d
-                        if j is not None:
+                        if j >= 0:
                             row = dist[p]
                             for x in partners[j]:
                                 d = row[phys[x]]
@@ -632,8 +697,9 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                 p = phys[i]
                 w = nbrs[p][e]
                 moved = list(phys)
-                if w in moved:
-                    moved[moved.index(w)] = p
+                j = occ[w]
+                if j >= 0:
+                    moved[j] = p
                 moved[i] = w
                 nphys = tuple(moved)
                 nidx = index.get(nphys)
@@ -656,6 +722,8 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                 children.append(nkey << nslots)
             if children:
                 cur.setdefault(level + 1, []).extend(children)
+            for p in phys:
+                occ[p] = -1  # the pass is over
         del buckets[k]
         k += 1
     return None

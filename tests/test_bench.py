@@ -148,6 +148,30 @@ class TestRunBenchmark:
             with pytest.raises(ValueError, match="graph_nodes"):
                 run_benchmark(4, [3], 2, seed=1, graph_nodes=3, threads=threads)
 
+    def test_rejected_call_keeps_the_pool(self, no_kept_pool, monkeypatch):
+        # Repeated gate counts and bad draw parameters are refused before
+        # dispatch: the kept pool stays, and the next call's rows are
+        # unchanged.
+        import qcmap.bench as bench
+
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
+        before = strip_time(run_benchmark(3, range(3, 6), 4, seed=5, threads=2))
+        pool = bench._kept[1]
+        bad = [
+            ((3, [0], 4, 0), {}, "at least 1 gate"),
+            ((3, [4, 0, 5], 4, 0), {}, "at least 1 gate"),
+            ((3, [4, 5, 4], 4, 0), {}, "distinct"),
+            ((1, [4], 4, 0), {}, "at least 2 qubits"),
+            ((3, [4], 4, 0), {"two_qubit_fraction": 1.5}, "two_qubit_fraction"),
+            ((3, [4], 4, 0), {"two_qubit_fraction": -0.1}, "two_qubit_fraction"),
+        ]
+        for args, kwargs, message in bad:
+            with pytest.raises(ValueError, match=message):
+                run_benchmark(*args, threads=2, **kwargs)
+            assert bench._kept is not None and bench._kept[1] is pool
+        assert strip_time(run_benchmark(3, range(3, 6), 4, seed=5, threads=2)) == before
+        assert bench._kept[1] is pool
+
 
 @pytest.mark.parametrize("case", bench_lifecycle.CASES)
 def test_kept_pool_lifecycle(case):

@@ -622,6 +622,49 @@ class TestHallCount:
             assert ham_cycle(source) is None, source
 
 
+class TestCircuitInfo:
+    def test_pair_masks_match_a_scan_of_the_gates(self):
+        # Per distinct operand pair, in order of first use and whatever the
+        # operand order, the bitmask of the gates on it; single-qubit gates
+        # are on no pair.
+        from qcmap.mapper import _CircuitInfo
+        rng = random.Random(2202)
+        circuits = [
+            Circuit(0, []),
+            Circuit.from_ops(2, []),
+            Circuit.from_ops(3, [("h", (1,)), ("t", (2,))]),
+        ]
+        for _ in range(80):
+            qubits = rng.randrange(2, 6)
+            ops = []
+            for _ in range(rng.randrange(0, 25)):
+                if rng.random() < 0.25:
+                    ops.append(("h", (rng.randrange(qubits),)))
+                else:
+                    ops.append(("cx", tuple(rng.sample(range(qubits), 2))))
+            circuits.append(Circuit.from_ops(qubits, ops))
+        repeated = 0
+        for c in circuits:
+            info = _CircuitInfo(c)
+            gates_of: dict[tuple[int, int], list[int]] = {}
+            for i, g in enumerate(c.gates):
+                if len(g.qubits) == 2:
+                    gates_of.setdefault(tuple(sorted(g.qubits)), []).append(i)
+            assert info.pairs == list(gates_of), c
+            assert info.pair_gates == tuple(sum(1 << i for i in gs) for gs in gates_of.values()), c
+            repeated += any(len({c.gates[i].qubits for i in gs}) == 2 for gs in gates_of.values())
+        assert repeated >= 40, repeated
+
+    def test_pair_masks_of_a_small_circuit(self):
+        from qcmap.mapper import _CircuitInfo
+        c = Circuit.from_ops(3, [("cx", (0, 1)), ("cx", (1, 0)), ("h", (0,)), ("cx", (2, 1)),
+                                 ("cx", (0, 1))])
+        info = _CircuitInfo(c)
+        assert info.pairs == [(0, 1), (1, 2)]
+        assert info.pair_gates == (0b10011, 0b01000)
+        assert _CircuitInfo(Circuit(0, [])).pair_gates == ()
+
+
 class TestSeedDominance:
     """A search over all placements drops every state equal to the seed
     state of its own placement (the full circuit reduced there) and never
@@ -1086,3 +1129,31 @@ class TestTraceDigest:
 
     def test_digest_is_unchanged(self):
         assert self.digest(self.corpus()) == self.DIGEST
+
+    # The device graphs, with their empty nodes and automorphism groups;
+    # recorded before the first pass read pending pairs by pair mask.
+    DEVICE_DIGEST = "926aa1f6e67c8d066a21ca693f6d5ca297fff48250754fab425786ee1787d7e2"
+
+    @staticmethod
+    def device_corpus():
+        """Seeded all-CNOT circuits of 3-5 qubits and 8-14 gates on
+        ``aspen()``, ``tokyo()`` and ``grid_square(3, 3)``: free and fixed
+        starts, strict and not, and a free search under a cap a little
+        above the distance table's n**2 entries."""
+        rng = random.Random(2201)
+        for g in (aspen(), tokyo(), grid_square(3, 3)):
+            for _ in range(12):
+                qubits = rng.randrange(3, 6)
+                ops = []
+                for _ in range(rng.randrange(8, 15)):
+                    a, b = rng.sample(range(qubits), 2)
+                    ops.append(("cx", (a, b)))
+                c = Circuit.from_ops(qubits, ops)
+                start = Placement(tuple(rng.sample(range(g.num_nodes), qubits)))
+                for strict in (False, True):
+                    yield c, g, None, strict, DEFAULT_STATE_CAP
+                    yield c, g, start, strict, DEFAULT_STATE_CAP
+                yield c, g, None, False, g.num_nodes ** 2 + rng.choice((0, 40, 400))
+
+    def test_device_digest_is_unchanged(self):
+        assert self.digest(self.device_corpus()) == self.DEVICE_DIGEST
