@@ -28,8 +28,8 @@ or at once for a fixed start: the automorphism group and each state's
 first pass read it.  The backtrack's qubit order is built after a count
 passes too, so buckets the count refutes build none of them.  A fixed
 start is the one seed of its search, in the bucket of its own h.
-``_seeds`` decides both, so every search sweeps the buckets from 0 and
-records each seed it is given.
+``_seeds`` decides both, so every search sweeps the buckets from 0, or
+jumps to the floor (below), and records each seed it is given.
 Inside a bucket states are passed one at a time, deepest level first,
 and when the bucket runs dry the next seed is enumerated as its level-0
 entry; so the bucket that holds the optimum stops at its first finished
@@ -59,10 +59,10 @@ Nothing is kept per placement but its signature and its seed fragment.
 
 Seeds and children take one path: a new state is recorded in a closed
 map, which ``state_cap`` bounds, then returned if it is finished or else
-passed in its bucket.  The closed map is written once per
-(placement, fragment) and is the one duplicate check: a state already
-in it is never filed again.  That is exact because a state's first
-record is at its lowest level.  h depends on the state alone, so in
+passed in its bucket.  Outside the floor bucket the closed map is written
+once per (placement, fragment) and is the one duplicate check: a state
+already in it is never filed again.  That is exact because a state's
+first record is at its lowest level.  h depends on the state alone, so in
 bucket K a state can sit at level K - h only; a child is built only in
 the bucket of its own f, and buckets are swept in increasing f, so a
 state first recorded in bucket K is never reached lower later.  Seeds
@@ -71,6 +71,43 @@ fixed start is the one level-0 state of its search).  So any order
 inside a bucket is exact: every finished state in bucket K costs K.
 The closed map stores each state's parent and SWAP, which replay into
 the witness plan; the number of SWAPs replayed is the level.
+
+A second lower bound reads gate order (``_window_bound``).  Between two
+SWAPs the placement is fixed, so the gates that run there, a window, have
+their operand pairs on edges: the window's pair set embeds in the graph.
+A plan with s SWAPs runs the circuit in s + 1 windows.  From a downset D
+of done gates, a step adds every gate whose pairs, with those of its
+ancestors outside D, embed.  A window after D adds no gate the step does
+not (it runs a gate's ancestors outside D too, and a subset of an
+embeddable pair set embeds), and a step from a larger D adds more; so
+after s + 1 windows the done gates lie within s + 1 steps from the empty
+set.  Every plan, strict or from a fixed start too, costs at least B: the
+steps that cover the circuit, less one.  The search reads B once bucket 0
+(the embedding test) has failed and bucket 1 has yielded more seeds than
+the circuit has gates; the seeds counted are kept, so none is enumerated
+twice, and small searches never pay for B.  A budget below B is refuted
+with no state built.  If B > 1 the search moves to bucket B, its floor:
+the floor seeds every placement of buckets 1 to B and holds every state
+with f <= B.  A floor state whose f is below B is passed with
+top = B - level + 1 hops, above its own far: no pending pair is that far
+apart, so every SWAP counts as covered, each child whose f is at most B
+(far below top) is built at once, and only a child whose far equals top,
+whose f is B + 1, is filed in bucket B + 1.  A child of f = B + 2 needs a
+parent of f = B, which is passed as in any bucket.  The floor's first
+finished state costs its level, at most its f <= B, and at least B, which
+bounds every plan: it is optimal.
+
+The floor holds states of several f, so deepest-first no longer reaches
+each state first at its lowest level.  The floor keeps the level of each
+state it records; a state reached again at a strictly lower level takes
+the new parent link and is filed again, for a new first pass (and
+reported again), and its entry at the old level is skipped.  A pass at
+level L builds every child whose f is at most B, so along a plan of cost
+B each state is passed at its own level or lower, and the floor finishes.
+Levels only fall, so this ends, and each parent link names a parent whose
+level is now below the child's: the replayed chain is a plan of at most
+the finished state's level.  Buckets above the floor are unchanged, and a
+state recorded in the floor is never reached lower above it.
 
 A search over all placements drops seed-dominated states.  The seed
 state of a placement is that placement with the full circuit reduced on
@@ -111,6 +148,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 from .circuits import Circuit
@@ -205,9 +243,11 @@ class _CircuitInfo:
     partner masks and the degrees in decreasing order, all from one pass
     over the gates.  The seed backtrack's qubit order is built on first
     use (``backtrack``), so a bucket that the Hall count refutes never
-    builds it."""
+    builds it.  The circuit is kept for the gate-order bound, which reads
+    its ``direct_predecessors``."""
 
     def __init__(self, c: Circuit):
+        self.circuit = c
         gates = c.gates
         self.num_qubits = c.num_qubits
         self.all_qubits = (1 << c.num_qubits) - 1
@@ -266,33 +306,39 @@ class _CircuitInfo:
 
     @cached_property
     def backtrack(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """The seed backtrack's qubit order and, per position, the qubit's
-        degree and its partners placed before it.  Each next qubit is the
-        one with most partners already placed, then most partners, then
-        lowest index; so the idle qubits come last."""
-        partners = self.partners
-        degree = [p.bit_count() for p in partners]
-        # Per qubit, its partners placed so far, in order, and its key: that
-        # count times a stride above every degree, plus its degree.  max()
-        # keeps the first of equal keys, and rest stays in index order.
-        placed: list[list[int]] = [[] for _ in partners]
-        key = degree[:]
-        stride = len(partners)
-        rest = list(range(len(partners)))
-        order, back = [], []
-        while rest:
-            best = max(rest, key=key.__getitem__)
-            rest.remove(best)
-            order.append(best)
-            back.append(tuple(placed[best]))
-            m = partners[best]
-            while m:
-                low = m & -m
-                m ^= low
-                r = low.bit_length() - 1
-                placed[r].append(best)
-                key[r] += stride
-        return tuple(order), tuple(degree[q] for q in order), tuple(back)
+        """The seed backtrack's qubit order, per position the qubit's degree
+        and its partners placed before it (``_backtrack_order``)."""
+        return _backtrack_order(self.partners)
+
+
+def _backtrack_order(partners: list[int]) -> tuple[
+        tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """A backtrack's qubit order for the partner masks ``partners`` and,
+    per position, the qubit's degree and its partners placed before it.
+    Each next qubit is the one with most partners already placed, then
+    most partners, then lowest index; so the idle qubits come last."""
+    degree = [p.bit_count() for p in partners]
+    # Per qubit, its partners placed so far, in order, and its key: that
+    # count times a stride above every degree, plus its degree.  max()
+    # keeps the first of equal keys, and rest stays in index order.
+    placed: list[list[int]] = [[] for _ in partners]
+    key = degree[:]
+    stride = len(partners)
+    rest = list(range(len(partners)))
+    order, back = [], []
+    while rest:
+        best = max(rest, key=key.__getitem__)
+        rest.remove(best)
+        order.append(best)
+        back.append(tuple(placed[best]))
+        m = partners[best]
+        while m:
+            low = m & -m
+            m ^= low
+            r = low.bit_length() - 1
+            placed[r].append(best)
+            key[r] += stride
+    return tuple(order), tuple(degree[q] for q in order), tuple(back)
 
 
 def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, ...] | None = None):
@@ -418,6 +464,128 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, .
         cands[i] = cand
 
 
+def _embeds(partners: list[int], graph: CouplingGraph) -> bool:
+    """Whether distinct nodes can hold the qubits so that each qubit's
+    partners (a bitmask per qubit) sit on nodes adjacent to its own.
+
+    The Hall count on the room sets of ``graph.within(1)`` comes first,
+    then a backtrack over the adjacency masks in ``_backtrack_order``,
+    over the qubits that have partners.  The first qubit tries
+    only nodes that no automorphism in ``graph.automorphisms`` maps lower:
+    every orbit's least node is among them, and an automorphism moves any
+    embedding onto one that puts the first qubit there.
+    """
+    room = graph.within(1)[1]
+    c = 0
+    for d in sorted((m.bit_count() for m in partners), reverse=True):
+        c += 1
+        if room[d].bit_count() < c:
+            return False
+    order, degree, back = _backtrack_order(partners)
+    size = len(order) - degree.count(0)
+    adj = graph.adjacency_masks
+    lowest = (1 << graph.num_nodes) - 1
+    for down in graph.automorphism_masks[1]:
+        lowest &= ~down
+    pos = [0] * len(partners)
+    # Depth-first over positions, as in _seeds: cands[i] holds the nodes
+    # still to try at position i, free[i] the nodes left free before it.
+    cands = [0] * size
+    free = [0] * (size + 1)
+    free[0] = (1 << graph.num_nodes) - 1
+    cands[0] = lowest & room[degree[0]]
+    i = 0
+    while i >= 0:
+        cand = cands[i]
+        if not cand:
+            i -= 1
+            continue
+        low = cand & -cand
+        cands[i] = cand ^ low
+        pos[order[i]] = low.bit_length() - 1
+        i += 1
+        if i == size:
+            return True
+        free[i] = free[i - 1] ^ low
+        cand = free[i] & room[degree[i]]
+        for r in back[i]:
+            cand &= adj[pos[r]]
+        cands[i] = cand
+    return False
+
+
+def _window_bound(info: _CircuitInfo, graph: CouplingGraph) -> int:
+    """A lower bound on the SWAPs of every plan, read from gate order.
+
+    Between two SWAPs the placement is fixed, so the gates that run there
+    (a window) have their operand pairs on edges: the window's pairs
+    embed in the graph.  A step from a downset D of done gates adds every
+    gate g outside D whose pairs, with those of g's ancestors outside D,
+    embed.  Any one window after D adds only such gates, since a window
+    that runs g runs its ancestors outside D too and a subset of an
+    embeddable pair set embeds; and a larger D adds more.  So after s
+    SWAPs, s + 1 windows, the done gates lie inside s + 1 steps from the
+    empty set, and a plan costs at least the number of steps that cover
+    the circuit, less one.  Strict mode and fixed starts only restrict
+    plans, so the bound holds there too.
+
+    Each pair set is tested by ``_embeds`` once: the answers are kept by
+    pair mask, and a subset of an embeddable set, or a superset of one
+    that does not embed, is answered from the kept sets.  Call it with
+    no more qubits than nodes.
+    """
+    pairs, gate_pair = info.pairs, info.gate_pair
+    preds = info.circuit.direct_predecessors
+    fits: list[int] = []
+    misfits: list[int] = []
+
+    def embeds(pm: int) -> bool:
+        if not pm & (pm - 1):
+            return True  # one pair or none: any edge holds it
+        for m in fits:
+            if not pm & ~m:
+                return True
+        for m in misfits:
+            if not m & ~pm:
+                return False
+        partners = [0] * info.num_qubits
+        for pi, (a, b) in enumerate(pairs):
+            if pm >> pi & 1:
+                partners[a] |= 1 << b
+                partners[b] |= 1 << a
+        if _embeds(partners, graph):
+            fits.append(pm)
+            return True
+        misfits.append(pm)
+        return False
+
+    num_gates = info.num_gates
+    done = [False] * num_gates
+    steps = 0
+    while not all(done):
+        # Per gate outside D, the pair mask of it and its ancestors outside
+        # D; a gate with an ancestor refused in this step is refused too.
+        # A gate's ancestors come before it, and D is a downset.
+        pm = [0] * num_gates
+        refused = [False] * num_gates
+        for i in range(num_gates):
+            if done[i]:
+                continue
+            mask = 0 if gate_pair[i] < 0 else 1 << gate_pair[i]
+            for p in preds[i]:
+                if not done[p]:
+                    if refused[p]:
+                        refused[i] = True
+                        break
+                    mask |= pm[p]
+            else:
+                pm[i] = mask
+                refused[i] = not embeds(mask)
+        done = [not r for r in refused]
+        steps += 1
+    return steps - 1
+
+
 # A closed-map value is the parent link: (parent key + 1) * nodes**2 +
 # a * nodes + b for the SWAP on edge (a, b), a < b, and 0 for a seed.
 
@@ -430,7 +598,11 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     Buckets are swept from 0, and each records every seed that
     ``_seeds`` yields for it: a fixed ``start`` in the bucket of its own
     h, or for a free search (``start`` None) the orbit leaders of
-    ``graph.automorphisms`` that run a gate.  Seeding reads the room sets
+    ``graph.automorphisms`` that run a gate.  Once bucket 1 has yielded
+    more seeds than the circuit has gates, the gate-order bound B
+    (``_window_bound``) is read: a ``bound`` below B returns None at once,
+    and a B above 1 folds buckets 1 to B into bucket B, the floor, which
+    seeds them all (see the module docstring).  Seeding reads the room sets
     and the adjacency masks alone: it ends at the first bucket k >= 1
     whose ``graph.within(k)`` balls hold every node, and a placement's
     signature (its adjacent pairs) is read from the masks.  Only a
@@ -463,9 +635,11 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
 
     ``on_level(k, level, placement, fragment mask)`` sees each state on
     its first pass, a seed that finished included, so each state is
-    reported once.  ``state_cap`` bounds the closed-map records: each
-    state reached, counted once; the re-filed entries, at most two per
-    state passed, are not counted.
+    reported once; in the floor a state reached again at a strictly lower
+    level has a new first pass and is reported again.  ``state_cap``
+    bounds the closed-map records: each state reached, counted once; the
+    re-filed entries, at most two per state passed, are not counted, and
+    a state filed again in the floor keeps its one record.
     """
     n = graph.num_nodes
     nbrs = graph.neighbors
@@ -578,7 +752,8 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
         return len(swaps), places[key >> gbits], swaps
 
     def over_cap(level: int) -> ResourceLimitError:
-        # Every lower bucket is exhausted, so the optimum is at least k.
+        # Every lower bucket is exhausted, or k is the floor, the
+        # gate-order bound: either way the optimum is at least k.
         return ResourceLimitError(
             f"search reached more than the state cap ({state_cap}) states in bucket {k} "
             f"at level {level} (the optimum is at least {k}); "
@@ -587,13 +762,36 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
 
     # f -> level -> frontier entries filed there, not yet passed.
     buckets: dict[int, dict[int, list[int]]] = {}
+    # The floor bucket, once the gate-order bound has moved the search
+    # there (-1 until then), and per state recorded in it the level it was
+    # recorded at; a seed sits at level 0 and is never reached again.
+    floor = -1
+    depth: dict[int, int] = {}
     while k <= bound:
         if seeding and k:
             seeding = graph.within(k)[1][n - 1].bit_count() < n
         if not seeding and not buckets:
             return None
-        cur = buckets.setdefault(k, {})
         seeds = _seeds(info, graph, k, start) if seeding else iter(())
+        if k == 1 and seeding:
+            # Bucket 0, the embedding test, has failed and filed nothing.
+            # Once bucket 1 holds more seeds than the circuit has gates,
+            # read the gate-order bound: a budget below it is refuted with
+            # no state built, and otherwise every bucket below it is
+            # folded into it, its floor.  The seeds counted are kept.
+            ahead = list(islice(seeds, gbits + 1))
+            seeds = chain(ahead, seeds)
+            if len(ahead) > gbits:
+                least = _window_bound(info, graph)
+                if least > bound:
+                    return None
+                if least > 1:
+                    floor = k = least
+                    seeds = chain(seeds, *(
+                        _seeds(info, graph, j, start) for j in range(2, floor + 1)
+                        if graph.within(j)[1][n - 1].bit_count() < n))
+        cur = buckets.setdefault(k, {})
+        in_floor = k == floor
         while True:
             if cur:
                 # The deepest entry, so a state's children pass before its
@@ -604,6 +802,8 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                 if not entries:
                     del cur[level]
                 key = entry >> nslots
+                if in_floor and depth[key] < level:
+                    continue  # filed again since, at a lower level
                 todo = entry & slot_mask
                 phys = places[key >> gbits]
             else:
@@ -629,12 +829,16 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                     on_level(k, level, phys, m)
                 if not m:
                     return replay(key)  # only a seed is still finished here
-                top = k - level + 1  # the parent's own far
                 dist = graph.distances
                 pend = pending_memo.get(m)
                 if pend is None:
                     pend = pending(m)
                 pend, partners = pend
+                # The parent's own far if its f is k.  A floor state's f can
+                # be lower; then top exceeds its far, no pair is top hops
+                # apart and every child lands in todo unless its far is top,
+                # which files it in k+1, where its f lies.
+                top = k - level + 1
                 # The parent's farthest pairs, top hops apart, counted per
                 # qubit: a SWAP lowers far only if it moves a qubit of each.
                 tops = [0] * nq
@@ -713,12 +917,17 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                     continue  # the seed state of nphys: starting there is cheaper
                 nkey = nidx << gbits | nm
                 if nkey in closed:
-                    continue
+                    # Only the floor reaches a state again lower down; it is
+                    # then filed again, for a new first pass.
+                    if not in_floor or depth[nkey] <= level + 1:
+                        continue
                 closed[nkey] = link + (p * n + w if p < w else w * n + p)
                 if len(closed) > state_cap:
                     raise over_cap(level + 1)
                 if not nm:
                     return replay(nkey)
+                if in_floor:
+                    depth[nkey] = level + 1
                 children.append(nkey << nslots)
             if children:
                 cur.setdefault(level + 1, []).extend(children)
@@ -817,7 +1026,10 @@ def search_levels(c: Circuit, g: CouplingGraph, p0: Placement | None = None, *,
     to, one at a time, deepest level first.  A state is reported at its
     first pass only, in the bucket of its own f, not when it is passed
     again to build children of higher f; so each (placement, fragment) is
-    reported once.  Each state is taken just before it is expanded, so the
+    reported once.  The floor bucket is the exception: when the search
+    starts at the gate-order bound B, bucket B also holds the states of
+    lower f, and one of them reached again at a strictly lower level is
+    reported again.  Each state is taken just before it is expanded, so the
     one in which the search finished is included; when the optimum is 0
     it is the seed that finished, with its empty fragment.  ``p0`` None
     seeds all placements, one per orbit of the graph's automorphisms; a

@@ -1,8 +1,9 @@
 """Shared builders for the test suite."""
 
+import itertools
 import random
 
-from qcmap import Circuit, CouplingGraph
+from qcmap import Circuit, CouplingGraph, RandomCircuitSpec, clique, cycle, gen_random_circuit, linear
 
 
 def example_circuit() -> Circuit:
@@ -109,3 +110,64 @@ def assert_strict_plan(plan) -> None:
         held = set(placement.to_physical)
         assert a in held and b in held, (plan, (a, b))
         placement = placement.apply_swap(a, b)
+
+
+def _canonical_gate_seq(seq, n):
+    best = None
+    for perm in itertools.permutations(range(n)):
+        mapped = tuple((perm[a], perm[b]) for a, b in seq)
+        if best is None or mapped < best:
+            best = mapped
+    return best
+
+
+def _canonical_cnot_circuits(n, max_gates):
+    """All-CNOT circuits on n qubits, one representative per relabeling class."""
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    yield Circuit.from_ops(n, [])
+    for t in range(1, max_gates + 1):
+        for seq in itertools.product(pairs, repeat=t):
+            if _canonical_gate_seq(seq, n) == seq:
+                yield Circuit.from_ops(n, [("cx", p) for p in seq])
+
+
+def criterion_1_instances():
+    """Acceptance criterion 1's (circuit, graph) corpus: every all-CNOT
+    circuit on 1-3 qubits with up to 5 gates, one per relabeling class, on
+    each path, clique and ring of 2-4 nodes; then 200 seeded 4-qubit draws
+    on random connected 4-node graphs."""
+    graphs = []
+    for b in (2, 3, 4):
+        graphs.append(linear(b))
+        graphs.append(clique(b))
+        if b >= 3:
+            graphs.append(cycle(b))
+    graphs = list(dict.fromkeys(graphs))
+    for n in (1, 2, 3):
+        for c in _canonical_cnot_circuits(n, 5):
+            for g in graphs:
+                yield c, g
+    rng = random.Random(20240)
+    for _ in range(200):
+        g = random_connected_graph(rng, 4, rng.randrange(0, 4))
+        yield random_cnot_circuit(rng, 4, rng.randrange(1, 9)), g
+
+
+def criterion_2_instances():
+    """Acceptance criterion 2's 500 seeded (circuit, graph) instances:
+    2-4 qubits, graphs of up to 6 nodes, 1-8 gates, every fifth with
+    single-qubit gates mixed in."""
+    rng = random.Random(99173)
+    out = []
+    for i in range(500):
+        n = rng.randrange(2, 5)
+        b = rng.randrange(n, 7)
+        g = random_connected_graph(rng, b, rng.randrange(0, 4))
+        gates = rng.randrange(1, 9)
+        if i % 5 == 0:
+            # every fifth instance mixes in single-qubit gates
+            c = gen_random_circuit(RandomCircuitSpec(n, gates, 0.8, rng.randrange(2 ** 30)))
+        else:
+            c = random_cnot_circuit(rng, n, gates)
+        out.append((c, g))
+    return out

@@ -33,14 +33,11 @@ from qcmap import (
     check_usp_instance,
     circuit_from_degree_bounded_graph,
     circuit_type,
-    clique,
-    cycle,
     decide,
     descriptor,
     gen_random_circuit,
     ham_cycle,
     is_smaller,
-    linear,
     max_clique_at_least,
     minimize,
     reduce_clique_to_qcm,
@@ -57,6 +54,8 @@ from qcmap import (
 
 from helpers import (
     all_subcircuit_masks,
+    criterion_1_instances,
+    criterion_2_instances,
     random_cnot_circuit,
     random_connected_graph,
     random_deg3_connected_graph,
@@ -78,46 +77,10 @@ SAMPLES_PER_POINT = 1000
 THREADS = os.cpu_count() or 1
 
 
-def _canonical_gate_seq(seq, n):
-    best = None
-    for perm in itertools.permutations(range(n)):
-        mapped = tuple((perm[a], perm[b]) for a, b in seq)
-        if best is None or mapped < best:
-            best = mapped
-    return best
-
-
-def _canonical_cnot_circuits(n, max_gates):
-    """All-CNOT circuits on n qubits, one representative per relabeling class."""
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    yield Circuit.from_ops(n, [])
-    for t in range(1, max_gates + 1):
-        for seq in itertools.product(pairs, repeat=t):
-            if _canonical_gate_seq(seq, n) == seq:
-                yield Circuit.from_ops(n, [("cx", p) for p in seq])
-
-
 def test_criterion_1_solver_matches_reference_search():
     started = time.monotonic()
-    graphs = []
-    for b in (2, 3, 4):
-        graphs.append(linear(b))
-        graphs.append(clique(b))
-        if b >= 3:
-            graphs.append(cycle(b))
-    graphs = list(dict.fromkeys(graphs))
-
     checked = 0
-    for n in (1, 2, 3):
-        for c in _canonical_cnot_circuits(n, 5):
-            for g in graphs:
-                assert solve_exact(c, g).cost == brute_force_g(c, g).cost
-                checked += 1
-
-    rng = random.Random(20240)
-    for _ in range(200):
-        g = random_connected_graph(rng, 4, rng.randrange(0, 4))
-        c = random_cnot_circuit(rng, 4, rng.randrange(1, 9))
+    for c, g in criterion_1_instances():
         assert solve_exact(c, g).cost == brute_force_g(c, g).cost
         checked += 1
 
@@ -130,20 +93,7 @@ def test_criterion_1_solver_matches_reference_search():
 
 @pytest.fixture(scope="module")
 def seeded_instances():
-    rng = random.Random(99173)
-    out = []
-    for i in range(500):
-        n = rng.randrange(2, 5)
-        b = rng.randrange(n, 7)
-        g = random_connected_graph(rng, b, rng.randrange(0, 4))
-        gates = rng.randrange(1, 9)
-        if i % 5 == 0:
-            # every fifth instance mixes in single-qubit gates
-            c = gen_random_circuit(RandomCircuitSpec(n, gates, 0.8, rng.randrange(2 ** 30)))
-        else:
-            c = random_cnot_circuit(rng, n, gates)
-        out.append((c, g))
-    return out
+    return criterion_2_instances()
 
 
 def test_criterion_2_plans_replay_at_claimed_cost(seeded_instances):

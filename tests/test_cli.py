@@ -161,6 +161,21 @@ class TestDecide:
         no = run_cli("decide", "--circuit", circuit, "--graph", graph, "--k", 0)
         assert no.returncode == 1 and no.stdout.strip() == "no"
 
+    def test_gate_order_bound_refutes_without_a_state(self, tmp_path):
+        # README's example: 80,460 placements have h = 1, but the circuit
+        # needs three embeddable windows, so one SWAP cannot do.  The bound
+        # answers before any state is recorded, so a cap that holds only
+        # the 400-entry distance table is enough.
+        graph, circuit = tmp_path / "tokyo.cg", tmp_path / "c6.qc"
+        assert run_cli("gen-graph", "--family", "tokyo", "--out", graph).returncode == 0
+        assert run_cli("gen-circuit", "--kind", "random", "--qubits", 6, "--gates", 20,
+                       "--seed", 1, "--out", circuit).returncode == 0
+        no = run_cli("decide", "--circuit", circuit, "--graph", graph, "--k", 1,
+                     "--state-cap", 400)
+        assert no.returncode == 1 and no.stdout.strip() == "no", no.stderr
+        yes = run_cli("decide", "--circuit", circuit, "--graph", graph, "--k", 2)
+        assert yes.returncode == 0 and yes.stdout.strip() == "yes"
+
 
 class TestVerify:
     def test_accepts_solver_output(self, tmp_path, triangle_files):

@@ -61,6 +61,12 @@ def triangle_circuit():
     return Circuit.from_ops(3, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 2))])
 
 
+def window_bound(c, g):
+    """The search's gate-order lower bound B on every plan's SWAPs."""
+    from qcmap.mapper import _CircuitInfo, _window_bound
+    return _window_bound(_CircuitInfo(c), g)
+
+
 class TestPlacement:
     def test_injective(self):
         with pytest.raises(ValueError):
@@ -722,20 +728,26 @@ class TestSeedDominance:
 
     def test_free_frontiers_hold_no_seed_state(self):
         from qcmap.mapper import _solve
-        c = gen_random_circuit(RandomCircuitSpec(4, 18, 1.0, 1))  # optimum 4
         g = grid_square(3, 3)
-        full = (1 << len(c.gates)) - 1
-        for strict in (False, True):
-            seen = []
-            _solve(c, g, strict=strict, budget=None, state_cap=DEFAULT_STATE_CAP,
-                   on_level=lambda k, level, phys, mask: seen.append((level, phys, mask)))
-            assert len(seen) > 100
-            for level, phys, mask in seen:
-                seed = self.seed_state(c, Placement(phys), g)
-                if level == 0:
-                    assert mask == seed.mask != full, (strict, phys)
-                else:
-                    assert mask != seed.mask, (strict, level, phys)
+        checked = {}
+        # Optimum 4 at a gate-order bound of 4, which the search starts at;
+        # and optimum 3 at a bound of 2, whose floor bucket is swept whole.
+        for c in (gen_random_circuit(RandomCircuitSpec(4, 18, 1.0, 1)),
+                  gen_random_circuit(RandomCircuitSpec(5, 14, 1.0, 3))):
+            full = (1 << len(c.gates)) - 1
+            for strict in (False, True):
+                seen = []
+                _solve(c, g, strict=strict, budget=None, state_cap=DEFAULT_STATE_CAP,
+                       on_level=lambda k, level, phys, mask: seen.append((level, phys, mask)))
+                assert len(seen) > 10
+                for level, phys, mask in seen:
+                    seed = self.seed_state(c, Placement(phys), g)
+                    if level == 0:
+                        assert mask == seed.mask != full, (strict, phys)
+                    else:
+                        assert mask != seed.mask, (strict, level, phys)
+                checked[strict] = checked.get(strict, 0) + len(seen)
+        assert min(checked.values()) > 100, checked
 
     def test_fixed_start_keeps_seed_states(self):
         # One gate, operands three hops apart: the start runs no gate, and
@@ -779,7 +791,8 @@ class TestSeedDominance:
 class TestLowerBound:
     """Every state is filed in bucket f = level + h, where h is the largest
     hop distance, less one, between the operands of a two-qubit gate still
-    pending in its fragment (0 for an empty fragment)."""
+    pending in its fragment (0 for an empty fragment); or, when the search
+    starts at the gate-order bound B, in the floor bucket B if f is lower."""
 
     @staticmethod
     def bucket(c, g, phys, mask, level):
@@ -793,7 +806,7 @@ class TestLowerBound:
     def test_bucket_is_level_plus_pending_distance(self):
         from qcmap.mapper import _solve
         rng = random.Random(61)
-        checked = 0
+        checked = floors = 0
         start_buckets = set()
         for g in (grid_square(3, 3), aspen(), linear(6)):
             for q in (3, 4):
@@ -807,14 +820,159 @@ class TestLowerBound:
                                state_cap=DEFAULT_STATE_CAP,
                                on_level=lambda k, level, phys, mask:
                                    seen.append((k, level, phys, mask)))
+                        # The first state reported sits in the floor, if
+                        # there is one; else in its own bucket.
+                        floor = seen[0][0]
+                        if floor != self.bucket(c, g, *seen[0][2:], seen[0][1]):
+                            assert start is None and floor == window_bound(c, g) > 1
+                            floors += 1
                         for k, level, phys, mask in seen:
-                            assert k == self.bucket(c, g, phys, mask, level), (
+                            assert k == max(self.bucket(c, g, phys, mask, level), floor), (
                                 g, c, start, strict, level, phys, mask)
                             checked += 1
                         if start is not None:
                             start_buckets.add(seen[0][0])
         assert checked > 1000, checked
         assert len(start_buckets) > 2, start_buckets
+        assert floors, "some searches start at the gate-order bound"
+
+
+class TestWindowBound:
+    """The gate-order bound B: between two SWAPs the gates that run form
+    an embeddable window, so a plan with s SWAPs runs the circuit in at
+    most s + 1 windows, and B, the number of greedy steps that cover the
+    circuit less one, never exceeds any plan's cost.  A search whose
+    bucket 1 holds more seeds than the circuit has gates reads B, and a
+    budget below it is refuted with no state built."""
+
+    @staticmethod
+    def device_draws():
+        """Seeded all-CNOT draws on the device graphs and short paths,
+        with a random fixed start each."""
+        rng = random.Random(131)
+        for g, qubits in ((aspen(), (3, 6)), (tokyo(), (3, 6)), (grid_square(3, 3), (3, 6)),
+                          (linear(4), (3, 5)), (linear(5), (3, 6)), (linear(6), (3, 6))):
+            for _ in range(8):
+                c = gen_random_circuit(RandomCircuitSpec(
+                    rng.randrange(*qubits), rng.randrange(6, 17), 1.0, rng.randrange(1000)))
+                yield c, g, Placement(tuple(rng.sample(range(g.num_nodes), c.num_qubits)))
+
+    def test_embedding_test_matches_every_placement(self):
+        # The bound's embedding test, with its Hall count and its first
+        # qubit kept to nodes no automorphism maps lower, against every
+        # injective placement, on graphs with large and with no groups.
+        from qcmap.mapper import _embeds
+        star = CouplingGraph(6, [(0, leaf) for leaf in range(1, 6)])
+        rng = random.Random(137)
+        answers = set()
+        for g in (cycle(6), grid_square(2, 3), star, generalized_petersen(5, 2), linear(5),
+                  random_connected_graph(rng, 6, 3)):
+            for _ in range(25):
+                qubits = rng.randrange(2, 6)
+                candidates = list(itertools.combinations(range(qubits), 2))
+                pairs = rng.sample(candidates, rng.randrange(1, min(len(candidates), 6) + 1))
+                partners = [0] * qubits
+                for a, b in pairs:
+                    partners[a] |= 1 << b
+                    partners[b] |= 1 << a
+                fits = any(all(g.has_edge(p[a], p[b]) for a, b in pairs)
+                           for p in itertools.permutations(range(g.num_nodes), qubits))
+                assert _embeds(partners, g) == fits, (g, pairs)
+                answers.add(fits)
+        assert answers == {False, True}
+
+    def test_repeated_triangles(self):
+        # Each triangle needs a SWAP on a triangle-free graph; three in a
+        # row need four, and the windows count all of them.
+        for g in (grid_square(3, 3), aspen(), linear(3)):
+            for times, opt in ((1, 1), (2, 2), (3, 4)):
+                c = Circuit.from_ops(3, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 2))] * times)
+                assert window_bound(c, g) == opt == solve_exact(c, g).cost, (g, times)
+                assert solve_exact(c, g, strict=True).cost == opt, (g, times)
+
+    def test_never_above_the_optimum(self):
+        # Criterion 1's and 2's corpora, against brute force where it
+        # reaches (criterion 1 checks the solver against it on its own
+        # corpus), free and strict; then device draws, free, strict and
+        # from a fixed start.
+        from helpers import criterion_1_instances, criterion_2_instances
+        tight = 0
+        for c, g in itertools.chain(criterion_1_instances(), criterion_2_instances()):
+            b = window_bound(c, g)
+            for strict in (False, True):
+                cost = solve_exact(c, g, strict=strict).cost
+                assert b <= cost, (c.gates, g, strict)
+                tight += b == cost
+        for c, g in criterion_2_instances()[:100]:
+            limits = dict(max_nodes=g.num_nodes)
+            assert window_bound(c, g) <= brute_force_g(c, g, **limits).cost, (c.gates, g)
+        lower = 0
+        for c, g, p0 in self.device_draws():
+            b = window_bound(c, g)
+            for strict in (False, True):
+                for res in (solve_exact(c, g, strict=strict), solve_from(c, g, p0, strict=strict)):
+                    assert b <= res.cost, (c.gates, g, p0, strict)
+                    tight += b == res.cost
+                    lower += b < res.cost
+        assert tight > 1000 and lower > 20, (tight, lower)
+
+    def test_budget_below_the_bound_builds_nothing(self):
+        # Once bucket 1 has more seeds than the circuit has gates, the
+        # search reads B, and a budget below B reports no state at all.
+        from qcmap.mapper import _CircuitInfo, _seeds, _solve
+        refuted = 0
+        cases = [(gen_random_circuit(RandomCircuitSpec(6, 20, 1.0, 1)), tokyo())]
+        cases += [(c, g) for c, g, _p0 in self.device_draws()]
+        for c, g in cases:
+            b = window_bound(c, g)
+            ahead = itertools.islice(_seeds(_CircuitInfo(c), g, 1), len(c.gates) + 1)
+            gated = len(list(ahead)) > len(c.gates)
+            for k in range(1, b):
+                calls = []
+                res = _solve(c, g, strict=False, budget=k, state_cap=DEFAULT_STATE_CAP,
+                             on_level=lambda *call: calls.append(call))
+                assert not res.feasible and not decide(c, g, k), (c.gates, g, k)
+                if gated:
+                    assert not calls, (c.gates, g, k)
+                    refuted += 1
+        assert refuted >= 5, refuted
+
+    def test_floor_passes_a_state_again_when_reached_lower(self):
+        # The floor bucket holds states of several f, so a state can be
+        # recorded deep down and reached again lower; passed only once, at
+        # the deeper level, these draws would cost one SWAP more.
+        from qcmap.mapper import _solve
+        for g, qubits, gates, seed, strict, opt in (
+                (aspen(), 3, 19, 448366, True, 5),
+                (grid_square(3, 3), 5, 19, 55041, False, 4),
+                (aspen(), 4, 18, 446006, False, 4)):
+            c = gen_random_circuit(RandomCircuitSpec(qubits, gates, 1.0, seed))
+            seen = []
+            res = _solve(c, g, strict=strict, budget=None, state_cap=DEFAULT_STATE_CAP,
+                         on_level=lambda k, level, phys, mask: seen.append((phys, mask)))
+            assert res.cost == opt, (g, seed)
+            report = verify_plan(c, g, res.plan)
+            assert report.accepted and report.swaps_used == opt, (g, seed)
+            assert len(set(seen)) < len(seen), (g, seed)
+            assert not decide(c, g, opt - 1, strict=strict), (g, seed)
+
+    def test_decide_below_the_bound_on_tokyo(self):
+        # 80,460 seeds in bucket 1 and a bound of 2: decide(1) says no
+        # before any state is built, and the solve starts in bucket 2.
+        from qcmap.mapper import _solve
+        c = gen_random_circuit(RandomCircuitSpec(6, 20, 1.0, 1))
+        g = tokyo()
+        assert window_bound(c, g) == 2
+        calls = []
+        assert not _solve(c, g, strict=False, budget=1, state_cap=DEFAULT_STATE_CAP,
+                          on_level=lambda *call: calls.append(call)).feasible
+        assert not calls
+        res = _solve(c, g, strict=False, budget=None, state_cap=DEFAULT_STATE_CAP,
+                     on_level=lambda *call: calls.append(call))
+        assert res.cost == 2 and 0 < len(calls) <= 10_000, len(calls)
+        assert {k for k, *_ in calls} == {2}
+        report = verify_plan(c, g, res.plan)
+        assert report.accepted and report.swaps_used == 2
 
 
 class TestChildBound:
@@ -922,15 +1080,19 @@ class TestSearchLevels:
     def test_frontier_states_are_distinct_and_reduced(self):
         from qcmap import reduce_subcircuit, restore
         draw = gen_random_circuit(RandomCircuitSpec(4, 18, 1.0, 1))  # optimum 4
+        # Optimum 3 at a gate-order bound of 2: the floor holds buckets 1-2.
+        below = gen_random_circuit(RandomCircuitSpec(5, 14, 1.0, 3))
         cases = [
             (triangle_circuit(), linear(4), False),
             (draw, grid_square(3, 3), False),
             (draw, grid_square(3, 3), True),
+            (below, grid_square(3, 3), False),
+            (below, grid_square(3, 3), True),
         ]
         checked = 0
         for c, g, strict in cases:
-            # No state is expanded twice: each appears in one frontier of
-            # its search, at most once.
+            # No state is expanded twice here: each appears in one frontier
+            # of its search, at most once.
             states = [(s.placement, d) for frontier in search_levels(c, g, strict=strict)
                       for s in frontier for d in s.fragments]
             assert len(set(states)) == len(states), (c, g, strict)
@@ -941,29 +1103,48 @@ class TestSearchLevels:
         assert checked > 1000, "the draw's searches expand hundreds of frontiers"
 
     def test_no_state_reported_twice_in_any_mode(self):
-        # The closed map is written once: across a whole search, over all
-        # placements or from a fixed start, strict or not, each (placement,
-        # fragment) is reported once, alone.
+        # The closed map is written once outside the floor bucket: across a
+        # whole search, over all placements or from a fixed start, strict
+        # or not, each (placement, fragment) is reported once, alone.  In
+        # the floor, which holds states of several f, a state reached again
+        # at a strictly lower level is passed again, and reported again.
         # Fuller graphs give strict fixed starts room to move.
+        from qcmap.mapper import _solve
         rng = random.Random(113)
-        checked = {}
+        cases = []
         for g, q in ((grid_square(3, 3), 4), (grid_square(3, 3), 7), (aspen(), 4),
                      (cycle(6), 6), (linear(6), 5)):
             c = gen_random_circuit(RandomCircuitSpec(
                 q, rng.randrange(12, 18), 1.0, rng.randrange(1000)))
             p0 = Placement(tuple(rng.sample(range(g.num_nodes), q)))
-            for start in (None, p0):
-                for strict in (False, True):
-                    where = (g, c, start, strict)
-                    levels = search_levels(c, g, start, strict=strict, state_cap=100_000)
-                    assert all(len(frontier) == 1 and len(frontier[0].fragments) == 1
-                               for frontier in levels), where
-                    states = [(s.placement, s.fragments[0])
-                              for frontier in levels for s in frontier]
-                    assert len(set(states)) == len(states), where
-                    mode = (start is None, strict)
-                    checked[mode] = checked.get(mode, 0) + len(states)
+            cases += [(c, g, start, strict) for start in (None, p0) for strict in (False, True)]
+        # A draw whose floor bucket reaches one state again lower down.
+        again = Circuit.from_ops(4, [("cx", p) for p in (
+            (0, 1), (2, 1), (2, 3), (3, 1), (2, 3), (1, 3), (0, 2), (0, 2), (1, 2), (3, 2),
+            (3, 1), (3, 1), (3, 2))])
+        cases += [(again, aspen(), None, strict) for strict in (False, True)]
+        checked, repeats = {}, 0
+        for c, g, start, strict in cases:
+            where = (g, c, start, strict)
+            levels = search_levels(c, g, start, strict=strict, state_cap=100_000)
+            assert all(len(frontier) == 1 and len(frontier[0].fragments) == 1
+                       for frontier in levels), where
+            seen = []
+            _solve(c, g, start=start, strict=strict, budget=None, state_cap=100_000,
+                   on_level=lambda k, level, phys, mask: seen.append((k, level, phys, mask)))
+            assert len(seen) == len(levels), where
+            floor = window_bound(c, g) if seen[0][0] > 1 else None
+            last = {}
+            for k, level, phys, mask in seen:
+                if (phys, mask) in last:
+                    k0, level0 = last[phys, mask]
+                    assert k == k0 == floor and level < level0, (where, phys, mask)
+                    repeats += 1
+                last[phys, mask] = k, level
+            mode = (start is None, strict)
+            checked[mode] = checked.get(mode, 0) + len(seen)
         assert len(checked) == 4 and min(checked.values()) > 500, checked
+        assert repeats == 2, repeats
 
     def test_fixed_start_has_single_seed(self):
         c = triangle_circuit()
@@ -1066,11 +1247,11 @@ class TestTraceDigest:
     """A sha256 over everything the search shows: each ``on_level`` call,
     each plan and cost, each ``ResourceLimitError`` text and, for a free
     search with a finite optimum, ``decide`` at 0, opt-1 and opt.  The
-    digest was recorded before seeding stopped reading the distance table,
-    when the zero-qubit circuit joined the corpus; a change that reorders
-    the search records a new one and says so in CHANGES.md."""
+    digests were recorded when the search started at the gate-order bound;
+    a change that reorders the search records new ones and says so in
+    CHANGES.md, and leaves ``ANSWERS_DIGEST`` as it is."""
 
-    DIGEST = "519269aad91bc22ff641312e920aad562ee767994c22a8d6208c3a996f0e5d24"
+    DIGEST = "598136ae02868bd21ca4cd5bd340000e1f2ef6454e78f51ce0065e72e914bfbb"
 
     @staticmethod
     def corpus():
@@ -1130,9 +1311,8 @@ class TestTraceDigest:
     def test_digest_is_unchanged(self):
         assert self.digest(self.corpus()) == self.DIGEST
 
-    # The device graphs, with their empty nodes and automorphism groups;
-    # recorded before the first pass read pending pairs by pair mask.
-    DEVICE_DIGEST = "926aa1f6e67c8d066a21ca693f6d5ca297fff48250754fab425786ee1787d7e2"
+    # The device graphs, with their empty nodes and automorphism groups.
+    DEVICE_DIGEST = "1d9d19573832ef5cdd7710988ba0b33653de1638770b9bb8ce72340fcde95f3d"
 
     @staticmethod
     def device_corpus():
@@ -1157,3 +1337,44 @@ class TestTraceDigest:
 
     def test_device_digest_is_unchanged(self):
         assert self.digest(self.device_corpus()) == self.DEVICE_DIGEST
+
+    # The answers alone, which no reordering of the search may change:
+    # recorded before the search started at the gate-order bound.
+    ANSWERS_DIGEST = "a262d77b9d053fbf7b0fab1f9aa63ed0a6b2bb44c42c3f9ef8df0d10bd5be455"
+
+    @classmethod
+    def answer_cases(cls):
+        """Every default-cap case of both corpora, and the brute-force
+        cases free and strict."""
+        for case in itertools.chain(cls.corpus(), cls.device_corpus()):
+            if case[4] == DEFAULT_STATE_CAP:
+                yield case
+        for g, qubits, draws in TestBoundedSearchAgainstBruteForce.CASES:
+            for gates, seed in draws:
+                c = gen_random_circuit(RandomCircuitSpec(qubits, gates, 1.0, seed))
+                for strict in (False, True):
+                    yield c, g, None, strict, DEFAULT_STATE_CAP
+
+    @staticmethod
+    def answers(cases) -> str:
+        """A sha256 over each case's cost and plan length, whether
+        ``verify_plan`` accepts the plan, and for a free search with a
+        finite optimum ``decide`` at 0, opt-1 and opt."""
+        h = hashlib.sha256()
+        for c, g, start, strict, cap in cases:
+            h.update(f"case {c.num_qubits} {c.gates} {sorted(g.edges)} {start} {strict}\n"
+                     .encode())
+            res = (solve_exact(c, g, strict=strict) if start is None
+                   else solve_from(c, g, start, strict=strict))
+            if not res.feasible:
+                h.update(f"cost {res.cost}\n".encode())
+                continue
+            h.update(f"cost {res.cost} {len(res.plan)} "
+                     f"{verify_plan(c, g, res.plan).accepted}\n".encode())
+            if start is None:
+                for k in sorted({0, max(res.cost - 1, 0), res.cost}):
+                    h.update(f"decide {k} {decide(c, g, k, strict=strict)}\n".encode())
+        return h.hexdigest()
+
+    def test_answers_are_unchanged(self):
+        assert self.answers(self.answer_cases()) == self.ANSWERS_DIGEST
