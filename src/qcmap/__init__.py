@@ -10,8 +10,7 @@ is first read, and the name is then kept in this module's globals.
 _EXPORTS = {
     "bench": "CSV_HEADER ExperimentRow RandomCircuitSpec emit_csv gen_random_circuit "
              "parse_csv run_benchmark",
-    "circuits": "Circuit DependencyGraph Gate LayerPartition TopologyGraph "
-                "build_dependency_graph build_layers build_topology_graph",
+    "circuits": "Circuit Gate LayerPartition TopologyGraph build_layers build_topology_graph",
     "coupling": "FAMILIES CouplingGraph aspen clique cycle gen grid_hex grid_square "
                 "grid_triangle linear tokyo",
     "errors": "ParseError ResourceLimitError",

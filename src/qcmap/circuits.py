@@ -123,18 +123,6 @@ class Circuit:
 
 
 @dataclass(frozen=True)
-class DependencyGraph:
-    """Gate precedence DAG: an edge (i, j) means gate j must wait for gate i.
-
-    Edges connect consecutive gates per qubit line only; longer-range
-    precedence is implied transitively.
-    """
-
-    num_gates: int
-    edges: frozenset[tuple[int, int]]
-
-
-@dataclass(frozen=True)
 class LayerPartition:
     """Gates grouped by earliest-possible layer, in layer order."""
 
@@ -160,15 +148,6 @@ class TopologyGraph:
         if self.num_qubits == 0:
             return 0
         return max(self.degree(q) for q in range(self.num_qubits))
-
-
-def build_dependency_graph(c: Circuit) -> DependencyGraph:
-    """Precedence edges between consecutive gates sharing an operand qubit."""
-    edges = set()
-    for g in c.gates:
-        for p in c.direct_predecessors[g.index]:
-            edges.add((p, g.index))
-    return DependencyGraph(len(c.gates), frozenset(edges))
 
 
 def build_layers(c: Circuit) -> LayerPartition:

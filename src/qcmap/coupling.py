@@ -180,15 +180,20 @@ class CouplingGraph:
         Built once per hop count from ``adjacency_masks``, never from the
         distance table: the levels start from level 0, where no node has
         another, and h hops reach the neighbors and whatever they reach in
-        h-1 hops, so each level is grown from the one below it.  The
-        mapper seeds from these sets and the adjacency masks alone; its
-        distance table is built when a bucket's count passes, or at once
-        for a fixed start."""
+        h-1 hops, so each level is grown from the one below it.  Growth
+        stops at the first level whose balls hold every other node, the
+        diameter's, since the graph is connected: the level above it
+        equals it, so it stands for every larger count.  The mapper seeds
+        from these sets and the adjacency masks alone; its distance table
+        is built when a bucket's count passes, or at once for a fixed
+        start."""
         if hops < 0:
             raise ValueError(f"hops must be >= 0, got {hops}")
         levels = self._within
         while len(levels) <= hops:
             n = self.num_nodes
+            if levels[-1][1][n - 1] == (1 << n) - 1:
+                return levels[-1]
             adjacency = self.adjacency_masks
             below = levels[-1][0]
             reach = []

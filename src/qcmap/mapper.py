@@ -29,7 +29,7 @@ first pass read it.  The backtrack's qubit order is built after a count
 passes too, so buckets the count refutes build none of them.  A fixed
 start is the one seed of its search, in the bucket of its own h.
 ``_seeds`` decides both, so every search sweeps the buckets from 0, or
-jumps to the floor (below), and records each seed it is given.
+from the gate-order bound (below), and records each seed it is given.
 Inside a bucket states are passed one at a time, deepest level first,
 and when the bucket runs dry the next seed is enumerated as its level-0
 entry; so the bucket that holds the optimum stops at its first finished
@@ -59,18 +59,21 @@ Nothing is kept per placement but its signature and its seed fragment.
 
 Seeds and children take one path: a new state is recorded in a closed
 map, which ``state_cap`` bounds, then returned if it is finished or else
-passed in its bucket.  Outside the floor bucket the closed map is written
-once per (placement, fragment) and is the one duplicate check: a state
-already in it is never filed again.  That is exact because a state's
-first record is at its lowest level.  h depends on the state alone, so in
-bucket K a state can sit at level K - h only; a child is built only in
-the bucket of its own f, and buckets are swept in increasing f, so a
-state first recorded in bucket K is never reached lower later.  Seeds
-sit at level 0, and no child equals a seed (seed dominance, below; a
-fixed start is the one level-0 state of its search).  So any order
-inside a bucket is exact: every finished state in bucket K costs K.
-The closed map stores each state's parent and SWAP, which replay into
-the witness plan; the number of SWAPs replayed is the level.
+passed in its bucket.  The closed map is the one duplicate check, with
+one rule in every bucket.  It keeps each state's level next to its
+parent link, and a state already recorded is skipped unless it is
+reached at a strictly lower level; then it takes the new link and is
+filed again, for a new first pass.  Levels only fall, so this ends, and
+each link names a parent whose level is below the child's: the SWAPs
+replayed from a finished state's links are a plan of at most its level.
+Swept from bucket 0, the rule never re-opens a state, and the map is
+written once per state.  h depends on the state alone, so in bucket K a
+state sits at level K - h only; a child is built only in the bucket of
+its own f, and buckets are swept in increasing f, so a state first
+recorded in bucket K is never reached lower later.  Seeds sit at level
+0, and no child equals a seed (seed dominance, below; a fixed start is
+the one level-0 state of its search).  So any order inside a bucket is
+exact: every finished state in bucket K costs K.
 
 A second lower bound reads gate order (``_window_bound``).  Between two
 SWAPs the placement is fixed, so the gates that run there, a window, have
@@ -86,28 +89,29 @@ steps that cover the circuit, less one.  The search reads B once bucket 0
 (the embedding test) has failed and bucket 1 has yielded more seeds than
 the circuit has gates; the seeds counted are kept, so none is enumerated
 twice, and small searches never pay for B.  A budget below B is refuted
-with no state built.  If B > 1 the search moves to bucket B, its floor:
-the floor seeds every placement of buckets 1 to B and holds every state
-with f <= B.  A floor state whose f is below B is passed with
-top = B - level + 1 hops, above its own far: no pending pair is that far
-apart, so every SWAP counts as covered, each child whose f is at most B
-(far below top) is built at once, and only a child whose far equals top,
-whose f is B + 1, is filed in bucket B + 1.  A child of f = B + 2 needs a
-parent of f = B, which is passed as in any bucket.  The floor's first
-finished state costs its level, at most its f <= B, and at least B, which
-bounds every plan: it is optimal.
+with no state built.  If B > 1 the sweep starts at bucket B, which seeds
+every placement of buckets 1 to B and holds every state with f <= B.  A
+state there whose f is below B is passed with top = B - level + 1 hops,
+above its own far: no pending pair is that far apart, so every SWAP
+counts as covered, each child whose f is at most B (far below top) is
+built at once, and only a child whose far equals top, whose f is B + 1,
+is filed in bucket B + 1.  A child of f = B + 2 needs a parent of f = B,
+which is passed as in any bucket.
 
-The floor holds states of several f, so deepest-first no longer reaches
-each state first at its lowest level.  The floor keeps the level of each
-state it records; a state reached again at a strictly lower level takes
-the new parent link and is filed again, for a new first pass (and
-reported again), and its entry at the old level is skipped.  A pass at
-level L builds every child whose f is at most B, so along a plan of cost
-B each state is passed at its own level or lower, and the floor finishes.
-Levels only fall, so this ends, and each parent link names a parent whose
-level is now below the child's: the replayed chain is a plan of at most
-the finished state's level.  Buckets above the floor are unchanged, and a
-state recorded in the floor is never reached lower above it.
+Bucket B holds states of several f, so deepest-first no longer reaches
+each state first at its lowest level, and there the closed map's rule
+re-opens states.  A pass at level L builds every child whose f is at
+most B, so if a plan costs B each state along it is passed at its own
+level or lower, and bucket B finishes.  Its first finished state
+replays a plan of at most its level, at most its f <= B, and at least
+B, which bounds every plan: it is optimal.  A state is re-opened only
+from an entry at the bucket's deepest level, or from a seed once the
+bucket is dry, so its entry at the old level, deeper still, has been
+passed already: no stale entry is left in the bucket.  A state recorded
+in bucket B is never reached lower above it.  The entries it filed in
+buckets B + 1 and B + 2 from an old level build no state: each child
+they build has a lower f from the state's new level, so a lower bucket,
+swept already, recorded it lower.
 
 A search over all placements drops seed-dominated states.  The seed
 state of a placement is that placement with the full circuit reduced on
@@ -586,8 +590,11 @@ def _window_bound(info: _CircuitInfo, graph: CouplingGraph) -> int:
     return steps - 1
 
 
-# A closed-map value is the parent link: (parent key + 1) * nodes**2 +
-# a * nodes + b for the SWAP on edge (a, b), a < b, and 0 for a seed.
+# A closed-map value packs the parent link above the state's level, in
+# the low state_cap.bit_length() bits: level L is reached by passing L
+# distinct recorded states from a seed, so L is at most state_cap.  The
+# link is (parent key + 1) * nodes**2 + a * nodes + b for the SWAP on
+# edge (a, b), a < b, and 0 for a seed.
 
 
 def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | None, *,
@@ -601,9 +608,9 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     ``graph.automorphisms`` that run a gate.  Once bucket 1 has yielded
     more seeds than the circuit has gates, the gate-order bound B
     (``_window_bound``) is read: a ``bound`` below B returns None at once,
-    and a B above 1 folds buckets 1 to B into bucket B, the floor, which
-    seeds them all (see the module docstring).  Seeding reads the room sets
-    and the adjacency masks alone: it ends at the first bucket k >= 1
+    and a B above 1 starts the sweep at bucket B, which seeds buckets 1 to
+    B (see the module docstring).  Seeding reads the room sets and the
+    adjacency masks alone: it ends at the first bucket k >= 1
     whose ``graph.within(k)`` balls hold every node, and a placement's
     signature (its adjacent pairs) is read from the masks.  Only a
     state's first pass reads the distance table, so it is built when a
@@ -633,13 +640,21 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     mask.  Per interned placement only its signature and seed fragment
     are stored; an occupancy table per placement was measured no faster.
 
+    The closed map keeps each state's level with its parent link.  A
+    state reached again is skipped unless it is reached at a strictly
+    lower level; then it takes the new link and is filed again, for a
+    new first pass.  Only bucket B of a sweep started at the gate-order
+    bound, which holds states of f below B, ever reaches a state lower:
+    elsewhere a state in bucket k sits at level k - h.  Bucket B's first
+    finished state is optimal, since every plan costs at least B and its
+    links replay a plan of at most its level, at most B.
+
     ``on_level(k, level, placement, fragment mask)`` sees each state on
     its first pass, a seed that finished included, so each state is
-    reported once; in the floor a state reached again at a strictly lower
-    level has a new first pass and is reported again.  ``state_cap``
-    bounds the closed-map records: each state reached, counted once; the
-    re-filed entries, at most two per state passed, are not counted, and
-    a state filed again in the floor keeps its one record.
+    reported once, and again on each new first pass.  ``state_cap``
+    bounds the closed-map records: each state reached, counted once
+    however often it is filed again; the re-filed entries, at most two
+    per state passed, are not counted.
     """
     n = graph.num_nodes
     nbrs = graph.neighbors
@@ -677,8 +692,11 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     # mask (bit i: a pending gate acts on pairs[i]) shares one entry.
     pending_memo: dict[int, tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]] = {}
     by_pairs: dict[int, tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]] = {}
-    # State key (placement index << gates | fragment) -> parent link.
+    # State key (placement index << gates | fragment) -> parent link and
+    # level, packed as above.
     closed: dict[int, int] = {}
+    lbits = state_cap.bit_length()
+    lmask = (1 << lbits) - 1
     # Node -> the qubit on it in the placement being passed, or -1: filled
     # at the start of each pass and cleared at its end, so that no pass
     # allocates one.
@@ -742,18 +760,18 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     def replay(key: int) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
         """(level, initial placement, swaps) of the finished state ``key``."""
         swaps: list[tuple[int, int]] = []
-        link = closed[key]
+        link = closed[key] >> lbits
         while link:
             parent, edge = divmod(link, stride)
             swaps.append(divmod(edge, n))
             key = parent - 1
-            link = closed[key]
+            link = closed[key] >> lbits
         swaps.reverse()
         return len(swaps), places[key >> gbits], swaps
 
     def over_cap(level: int) -> ResourceLimitError:
-        # Every lower bucket is exhausted, or k is the floor, the
-        # gate-order bound: either way the optimum is at least k.
+        # Every bucket below k is exhausted or below the gate-order bound:
+        # either way the optimum is at least k.
         return ResourceLimitError(
             f"search reached more than the state cap ({state_cap}) states in bucket {k} "
             f"at level {level} (the optimum is at least {k}); "
@@ -762,11 +780,6 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
 
     # f -> level -> frontier entries filed there, not yet passed.
     buckets: dict[int, dict[int, list[int]]] = {}
-    # The floor bucket, once the gate-order bound has moved the search
-    # there (-1 until then), and per state recorded in it the level it was
-    # recorded at; a seed sits at level 0 and is never reached again.
-    floor = -1
-    depth: dict[int, int] = {}
     while k <= bound:
         if seeding and k:
             seeding = graph.within(k)[1][n - 1].bit_count() < n
@@ -777,8 +790,8 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
             # Bucket 0, the embedding test, has failed and filed nothing.
             # Once bucket 1 holds more seeds than the circuit has gates,
             # read the gate-order bound: a budget below it is refuted with
-            # no state built, and otherwise every bucket below it is
-            # folded into it, its floor.  The seeds counted are kept.
+            # no state built, and otherwise the sweep starts there, with the
+            # seeds of every bucket below it.  The seeds counted are kept.
             ahead = list(islice(seeds, gbits + 1))
             seeds = chain(ahead, seeds)
             if len(ahead) > gbits:
@@ -786,12 +799,11 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                 if least > bound:
                     return None
                 if least > 1:
-                    floor = k = least
+                    k = least
                     seeds = chain(seeds, *(
-                        _seeds(info, graph, j, start) for j in range(2, floor + 1)
+                        _seeds(info, graph, j, start) for j in range(2, k + 1)
                         if graph.within(j)[1][n - 1].bit_count() < n))
         cur = buckets.setdefault(k, {})
-        in_floor = k == floor
         while True:
             if cur:
                 # The deepest entry, so a state's children pass before its
@@ -802,8 +814,6 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                 if not entries:
                     del cur[level]
                 key = entry >> nslots
-                if in_floor and depth[key] < level:
-                    continue  # filed again since, at a lower level
                 todo = entry & slot_mask
                 phys = places[key >> gbits]
             else:
@@ -834,10 +844,11 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                 if pend is None:
                     pend = pending(m)
                 pend, partners = pend
-                # The parent's own far if its f is k.  A floor state's f can
-                # be lower; then top exceeds its far, no pair is top hops
-                # apart and every child lands in todo unless its far is top,
-                # which files it in k+1, where its f lies.
+                # The parent's own far if its f is k.  In a sweep started at
+                # the gate-order bound a state's f can be lower; then top
+                # exceeds its far, no pair is top hops apart and every child
+                # lands in todo unless its far is top, which files it in k+1,
+                # where its f lies.
                 top = k - level + 1
                 # The parent's farthest pairs, top hops apart, counted per
                 # qubit: a SWAP lowers far only if it moves a qubit of each.
@@ -892,7 +903,8 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                 if next2 and k + 2 <= bound:
                     buckets.setdefault(k + 2, {}).setdefault(level, []).append(key << nslots | next2)
             # Build the children of the slots in todo, all in bucket k.
-            link = (key + 1) * stride  # parent link, less the SWAP
+            nlevel = level + 1
+            link = (key + 1) * stride << lbits | nlevel  # less the SWAP
             children = []
             while todo:
                 low = todo & -todo
@@ -916,21 +928,17 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                 if free_start and nm == seed_of[nidx]:
                     continue  # the seed state of nphys: starting there is cheaper
                 nkey = nidx << gbits | nm
-                if nkey in closed:
-                    # Only the floor reaches a state again lower down; it is
-                    # then filed again, for a new first pass.
-                    if not in_floor or depth[nkey] <= level + 1:
-                        continue
-                closed[nkey] = link + (p * n + w if p < w else w * n + p)
+                old = closed.get(nkey)
+                if old is not None and old & lmask <= nlevel:
+                    continue  # recorded no deeper: reached before, as cheaply
+                closed[nkey] = link + ((p * n + w if p < w else w * n + p) << lbits)
                 if len(closed) > state_cap:
-                    raise over_cap(level + 1)
+                    raise over_cap(nlevel)
                 if not nm:
                     return replay(nkey)
-                if in_floor:
-                    depth[nkey] = level + 1
                 children.append(nkey << nslots)
             if children:
-                cur.setdefault(level + 1, []).extend(children)
+                cur.setdefault(nlevel, []).extend(children)
             for p in phys:
                 occ[p] = -1  # the pass is over
         del buckets[k]
@@ -1024,12 +1032,13 @@ def search_levels(c: Circuit, g: CouplingGraph, p0: Placement | None = None, *,
     increasing bound f; inside a bucket the states that lower buckets
     filed there come first, then each seed followed by the states it leads
     to, one at a time, deepest level first.  A state is reported at its
-    first pass only, in the bucket of its own f, not when it is passed
-    again to build children of higher f; so each (placement, fragment) is
-    reported once.  The floor bucket is the exception: when the search
-    starts at the gate-order bound B, bucket B also holds the states of
-    lower f, and one of them reached again at a strictly lower level is
-    reported again.  Each state is taken just before it is expanded, so the
+    first pass, not when it is passed again to build children of higher
+    f.  A state reached again has a new first pass only if it is reached
+    at a strictly lower level, and then it is reported again.  That
+    happens only in bucket B of a search started at the gate-order bound
+    B, which also holds the states of f below B; a state first passed in
+    any other bucket sits in the bucket of its own f and is reported
+    once.  Each state is taken just before it is expanded, so the
     one in which the search finished is included; when the optimum is 0
     it is the seed that finished, with its empty fragment.  ``p0`` None
     seeds all placements, one per orbit of the graph's automorphisms; a

@@ -7,7 +7,6 @@ from qcmap import (
     Gate,
     ParseError,
     RandomCircuitSpec,
-    build_dependency_graph,
     build_layers,
     build_topology_graph,
     format_circuit,
@@ -67,16 +66,18 @@ class TestCircuitConstruction:
 class TestWorkedExample:
     """One 7-gate circuit, every derived structure frozen by hand."""
 
+    @staticmethod
+    def dependency_edges(c):
+        return sorted((i, j) for j, preds in enumerate(c.direct_predecessors) for i in preds)
+
     def test_dependency_edges(self):
-        dep = build_dependency_graph(example_circuit())
-        assert sorted(dep.edges) == [
+        assert self.dependency_edges(example_circuit()) == [
             (0, 2), (1, 3), (2, 4), (2, 5), (3, 4), (4, 5), (4, 6),
         ]
 
     def test_dependencies_only_on_shared_qubits(self):
         c = example_circuit()
-        dep = build_dependency_graph(c)
-        for i, j in dep.edges:
+        for i, j in self.dependency_edges(c):
             assert i < j
             assert set(c.gates[i].qubits) & set(c.gates[j].qubits)
 

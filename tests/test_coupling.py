@@ -253,6 +253,21 @@ class TestWithin:
             with pytest.raises(ValueError, match="hops"):
                 g.within(-1)
 
+    def test_large_hop_counts_stop_at_the_diameter(self):
+        # Past the diameter every ball holds every other node, so a larger
+        # count builds no level: the diameter's level answers it.
+        g = linear(4)
+        tracemalloc.start()
+        try:
+            far = g.within(10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert far == g.within(3)
+        assert peak < 1 << 20, peak
+        # A single node has no other at any count.
+        assert CouplingGraph(1, []).within(10**5) == ((0,), (1, 0))
+
 
 class TestAutomorphisms:
     @staticmethod

@@ -1103,11 +1103,12 @@ class TestSearchLevels:
         assert checked > 1000, "the draw's searches expand hundreds of frontiers"
 
     def test_no_state_reported_twice_in_any_mode(self):
-        # The closed map is written once outside the floor bucket: across a
-        # whole search, over all placements or from a fixed start, strict
-        # or not, each (placement, fragment) is reported once, alone.  In
-        # the floor, which holds states of several f, a state reached again
-        # at a strictly lower level is passed again, and reported again.
+        # The closed map passes a state again only when it is reached at a
+        # strictly lower level: across a whole search, over all placements
+        # or from a fixed start, strict or not, each (placement, fragment)
+        # is reported once, alone.  Only the floor, bucket B of a search
+        # started at the gate-order bound B, holds states of several f; a
+        # state reached again lower there is passed, and reported, again.
         # Fuller graphs give strict fixed starts room to move.
         from qcmap.mapper import _solve
         rng = random.Random(113)
