@@ -66,14 +66,16 @@ reached at a strictly lower level; then it takes the new link and is
 filed again, for a new first pass.  Levels only fall, so this ends, and
 each link names a parent whose level is below the child's: the SWAPs
 replayed from a finished state's links are a plan of at most its level.
-Swept from bucket 0, the rule never re-opens a state, and the map is
-written once per state.  h depends on the state alone, so in bucket K a
-state sits at level K - h only; a child is built only in the bucket of
-its own f, and buckets are swept in increasing f, so a state first
-recorded in bucket K is never reached lower later.  Seeds sit at level
-0, and no child equals a seed (seed dominance, below; a fixed start is
-the one level-0 state of its search).  So any order inside a bucket is
-exact: every finished state in bucket K costs K.
+An entry popped at a level that is no longer its state's record is
+stale, and skipped.  Swept from bucket 0 with h alone, the rule never
+re-opens a state, and the map is written once per state.  h depends on
+the state alone, so in bucket K a state sits at level K - h only; a
+child is built only in the bucket of its own f, and buckets are swept in
+increasing f, so a state first recorded in bucket K is never reached
+lower later.  Seeds sit at level 0, and no child equals a seed (seed
+dominance, below; a fixed start is the one level-0 state of its search).
+So any order inside a bucket is exact: every finished state in bucket K
+costs K.
 
 A second lower bound reads gate order (``_window_bound``).  Between two
 SWAPs the placement is fixed, so the gates that run there, a window, have
@@ -82,36 +84,51 @@ A plan with s SWAPs runs the circuit in s + 1 windows.  From a downset D
 of done gates, a step adds every gate whose pairs, with those of its
 ancestors outside D, embed.  A window after D adds no gate the step does
 not (it runs a gate's ancestors outside D too, and a subset of an
-embeddable pair set embeds), and a step from a larger D adds more; so
-after s + 1 windows the done gates lie within s + 1 steps from the empty
-set.  Every plan, strict or from a fixed start too, costs at least B: the
-steps that cover the circuit, less one.  The search reads B once bucket 0
-(the embedding test) has failed and bucket 1 has yielded more seeds than
-the circuit has gates; the seeds counted are kept, so none is enumerated
-twice, and small searches never pay for B.  A budget below B is refuted
-with no state built.  If B > 1 the sweep starts at bucket B, which seeds
-every placement of buckets 1 to B and holds every state with f <= B.  A
-state there whose f is below B is passed with top = B - level + 1 hops,
-above its own far: no pending pair is that far apart, so every SWAP
-counts as covered, each child whose f is at most B (far below top) is
-built at once, and only a child whose far equals top, whose f is B + 1,
-is filed in bucket B + 1.  A child of f = B + 2 needs a parent of f = B,
-which is passed as in any bucket.
+embeddable pair set embeds), and a step from a larger D adds more.  The
+steps from the empty set add the layers L_1, ..., L_{B+1}, so after
+s + 1 windows the done gates lie within L_1 to L_{s+1}: every plan,
+strict or from a fixed start too, costs at least B.  The same holds from
+a state.  Let j be the last layer that holds one of its done gates D: D
+lies within the first j layers, and a reduced state runs nothing until
+its next SWAP, so s more SWAPs leave the done gates within the first
+j + s layers, and the state needs h_w = B + 1 - j more SWAPs at least.
 
-Bucket B holds states of several f, so deepest-first no longer reaches
-each state first at its lowest level, and there the closed map's rule
-re-opens states.  A pass at level L builds every child whose f is at
-most B, so if a plan costs B each state along it is passed at its own
-level or lower, and bucket B finishes.  Its first finished state
-replays a plan of at most its level, at most its f <= B, and at least
-B, which bounds every plan: it is optimal.  A state is re-opened only
-from an entry at the bucket's deepest level, or from a seed once the
-bucket is dry, so its entry at the old level, deeper still, has been
-passed already: no stale entry is left in the bucket.  A state recorded
-in bucket B is never reached lower above it.  The entries it filed in
-buckets B + 1 and B + 2 from an old level build no state: each child
-they build has a lower f from the state's new level, so a lower bucket,
-swept already, recorded it lower.
+The search reads the layers once bucket 0 (the embedding test) has
+failed and bucket 1 has yielded more seeds than the circuit has gates;
+the seeds counted are kept, so none is enumerated twice, and small
+searches never pay for the layers.  A budget below B is refuted with no
+state built.  If B > 1 the sweep starts at bucket B, which seeds every
+placement of buckets 1 to B.  From then on a state's f is
+f' = L + max(h, h_w): on its first pass in bucket K, a state whose
+L + h_w exceeds K is not passed but filed, unpassed at its level, in
+bucket L + h_w, or dropped if that is above the bound.  A state passed
+in bucket K whose L + h is below K (a seed of a bucket below B, or a
+state that h_w lifts) is passed with top = K - L + 1 hops, above its far:
+no pending pair is that far apart, so every SWAP counts as covered, each
+child whose f is at most K (far below top) is built at once, and only a
+child whose far equals top, whose f is K + 1, is filed in bucket K + 1.
+
+Exactness with h_w.  It never overestimates, and it is consistent too:
+the gates one SWAP runs form a window after D, which lies within the
+first j + 1 layers, so h_w drops by at most one per SWAP, and so does
+max(h, h_w).  Each state is therefore passed in the bucket of its own
+f', seeds included (a seed's h_w is B), and a state is passed at its
+lowest reachable level.  But a child is recorded when it is built, in
+its parent's bucket, before its own h_w is read; so a child lifted above
+its parent's bucket can be reached at a lower level before its own
+bucket is swept.  The closed map's rule, which can fire in any bucket
+from the start bucket on, then re-files it at the lower level, where it
+is passed; its lifted entry at the old level is stale and skipped, so
+no state is passed above its record.  Take an optimal plan of cost C
+and its states, each at its lowest reachable level, so each f' <= C.
+If a state on it is passed at its level, in a bucket at most C, the
+entries of that pass build its successor in a bucket at most C, or find
+it recorded no deeper already; either way the successor is filed at its
+own level and passed there, or lifted to a bucket at most C and passed
+there, and no later record makes that entry stale.  So a finished state
+is built in a bucket at most C.  The first one, in bucket K <= C, has
+level at most K (a child is built only if its f is at most K), and its
+links replay a plan of at most its level: it is optimal.
 
 A search over all placements drops seed-dominated states.  The seed
 state of a placement is that placement with the full circuit reduced on
@@ -160,6 +177,8 @@ from .coupling import CouplingGraph
 from .errors import ResourceLimitError
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .subcircuits import SubcircuitDescriptor
 
 DEFAULT_STATE_CAP = 1_000_000
@@ -468,16 +487,18 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, .
         cands[i] = cand
 
 
-def _embeds(partners: list[int], graph: CouplingGraph) -> bool:
+def _embeds(partners: list[int], graph: CouplingGraph, order: Iterable[int]) -> bool:
     """Whether distinct nodes can hold the qubits so that each qubit's
     partners (a bitmask per qubit) sit on nodes adjacent to its own.
 
     The Hall count on the room sets of ``graph.within(1)`` comes first,
-    then a backtrack over the adjacency masks in ``_backtrack_order``,
-    over the qubits that have partners.  The first qubit tries
-    only nodes that no automorphism in ``graph.automorphisms`` maps lower:
-    every orbit's least node is among them, and an automorphism moves any
-    embedding onto one that puts the first qubit there.
+    then a backtrack over the adjacency masks that places the qubits with
+    partners in the order of ``order``, any order of the qubits; each
+    position reads the partners placed before it as a bit mask.  The
+    first qubit tries only nodes that no automorphism in
+    ``graph.automorphisms`` maps lower: every orbit's least node is among
+    them, and an automorphism moves any embedding onto one that puts the
+    first qubit there.  Call it with at least one pair.
     """
     room = graph.within(1)[1]
     c = 0
@@ -485,8 +506,18 @@ def _embeds(partners: list[int], graph: CouplingGraph) -> bool:
         c += 1
         if room[d].bit_count() < c:
             return False
-    order, degree, back = _backtrack_order(partners)
-    size = len(order) - degree.count(0)
+    # Per position, its qubit, the nodes with room for its partners and
+    # the mask of its partners placed before it.
+    seq, fits, back = [], [], []
+    placed = 0
+    for q in order:
+        m = partners[q]
+        if m:
+            seq.append(q)
+            fits.append(room[m.bit_count()])
+            back.append(m & placed)
+            placed |= 1 << q
+    size = len(seq)
     adj = graph.adjacency_masks
     lowest = (1 << graph.num_nodes) - 1
     for down in graph.automorphism_masks[1]:
@@ -497,7 +528,7 @@ def _embeds(partners: list[int], graph: CouplingGraph) -> bool:
     cands = [0] * size
     free = [0] * (size + 1)
     free[0] = (1 << graph.num_nodes) - 1
-    cands[0] = lowest & room[degree[0]]
+    cands[0] = lowest & fits[0]
     i = 0
     while i >= 0:
         cand = cands[i]
@@ -506,20 +537,25 @@ def _embeds(partners: list[int], graph: CouplingGraph) -> bool:
             continue
         low = cand & -cand
         cands[i] = cand ^ low
-        pos[order[i]] = low.bit_length() - 1
+        pos[seq[i]] = low.bit_length() - 1
         i += 1
         if i == size:
             return True
         free[i] = free[i - 1] ^ low
-        cand = free[i] & room[degree[i]]
-        for r in back[i]:
-            cand &= adj[pos[r]]
+        cand = free[i] & fits[i]
+        m = back[i]
+        while m:
+            r = m & -m
+            m ^= r
+            cand &= adj[pos[r.bit_length() - 1]]
         cands[i] = cand
     return False
 
 
-def _window_bound(info: _CircuitInfo, graph: CouplingGraph) -> int:
-    """A lower bound on the SWAPs of every plan, read from gate order.
+def _window_bound(info: _CircuitInfo, graph: CouplingGraph) -> tuple[int, ...]:
+    """The greedy layers of gate order: gate masks L_1, ..., L_{B+1},
+    where L_i holds the gates that step i adds.  B, the number of steps
+    less one, is a lower bound on the SWAPs of every plan.
 
     Between two SWAPs the placement is fixed, so the gates that run there
     (a window) have their operand pairs on edges: the window's pairs
@@ -531,15 +567,18 @@ def _window_bound(info: _CircuitInfo, graph: CouplingGraph) -> int:
     SWAPs, s + 1 windows, the done gates lie inside s + 1 steps from the
     empty set, and a plan costs at least the number of steps that cover
     the circuit, less one.  Strict mode and fixed starts only restrict
-    plans, so the bound holds there too.
+    plans, so the bound holds there too.  The same argument from a state
+    gives the search its per-state bound (see the module docstring).
 
-    Each pair set is tested by ``_embeds`` once: the answers are kept by
-    pair mask, and a subset of an embeddable set, or a superset of one
-    that does not embed, is answered from the kept sets.  Call it with
-    no more qubits than nodes.
+    Each pair set is tested by ``_embeds`` once, in the seed backtrack's
+    qubit order (``info.backtrack``): the answers are kept by pair mask,
+    and a subset of an embeddable set, or a superset of one that does not
+    embed, is answered from the kept sets.  Call it with no more qubits
+    than nodes.
     """
     pairs, gate_pair = info.pairs, info.gate_pair
     preds = info.circuit.direct_predecessors
+    order = info.backtrack[0]
     fits: list[int] = []
     misfits: list[int] = []
 
@@ -557,7 +596,7 @@ def _window_bound(info: _CircuitInfo, graph: CouplingGraph) -> int:
             if pm >> pi & 1:
                 partners[a] |= 1 << b
                 partners[b] |= 1 << a
-        if _embeds(partners, graph):
+        if _embeds(partners, graph, order):
             fits.append(pm)
             return True
         misfits.append(pm)
@@ -565,13 +604,14 @@ def _window_bound(info: _CircuitInfo, graph: CouplingGraph) -> int:
 
     num_gates = info.num_gates
     done = [False] * num_gates
-    steps = 0
+    layers = []
     while not all(done):
         # Per gate outside D, the pair mask of it and its ancestors outside
         # D; a gate with an ancestor refused in this step is refused too.
         # A gate's ancestors come before it, and D is a downset.
         pm = [0] * num_gates
         refused = [False] * num_gates
+        layer = 0
         for i in range(num_gates):
             if done[i]:
                 continue
@@ -584,10 +624,13 @@ def _window_bound(info: _CircuitInfo, graph: CouplingGraph) -> int:
                     mask |= pm[p]
             else:
                 pm[i] = mask
-                refused[i] = not embeds(mask)
+                if embeds(mask):
+                    layer |= 1 << i
+                else:
+                    refused[i] = True
         done = [not r for r in refused]
-        steps += 1
-    return steps - 1
+        layers.append(layer)
+    return tuple(layers)
 
 
 # A closed-map value packs the parent link above the state's level, in
@@ -606,13 +649,15 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     ``_seeds`` yields for it: a fixed ``start`` in the bucket of its own
     h, or for a free search (``start`` None) the orbit leaders of
     ``graph.automorphisms`` that run a gate.  Once bucket 1 has yielded
-    more seeds than the circuit has gates, the gate-order bound B
-    (``_window_bound``) is read: a ``bound`` below B returns None at once,
-    and a B above 1 starts the sweep at bucket B, which seeds buckets 1 to
-    B (see the module docstring).  Seeding reads the room sets and the
-    adjacency masks alone: it ends at the first bucket k >= 1
-    whose ``graph.within(k)`` balls hold every node, and a placement's
-    signature (its adjacent pairs) is read from the masks.  Only a
+    more seeds than the circuit has gates, the gate-order layers
+    (``_window_bound``) are read: a ``bound`` below B returns None at once,
+    a B above 1 starts the sweep at bucket B, which seeds buckets 1 to B,
+    and from then on a state whose level plus h_w exceeds k waits,
+    unpassed, in the bucket of that sum (see the module docstring).
+    Seeding reads the room sets and the adjacency masks alone: it ends at
+    the first bucket k >= 1 whose ``graph.within(k)`` balls hold every
+    node, and a placement's signature (its adjacent pairs) is read from
+    the masks.  Only a
     state's first pass reads the distance table, so it is built when a
     bucket's count passes, or at once for a fixed start.  A free search
     drops a child equal to its placement's seed state; a fixed start
@@ -626,9 +671,11 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     the next seed as the bucket's level-0 entry.  An entry is a state and
     a mask of SWAP slots (qubit * max degree + index of the edge among its
     node's neighbors); an empty mask marks the state's first pass, which
-    re-files the state at its own level in buckets k+1 and k+2 with the
-    SWAPs whose children land there.  A pass builds the children whose f
-    is k and files them at the next level of bucket k.
+    lifts the state to a later bucket if its h_w asks for one, and
+    otherwise re-files the state at its own level in buckets k+1 and k+2
+    with the SWAPs whose children land there.  An entry whose level is no
+    longer its state's record is stale, and is skipped.  A pass builds the
+    children whose f is k and files them at the next level of bucket k.
 
     Each pass fills the placement's occupancy (node -> qubit, or -1)
     once, in one list that the search reuses; the slot test reads it for
@@ -643,15 +690,16 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     The closed map keeps each state's level with its parent link.  A
     state reached again is skipped unless it is reached at a strictly
     lower level; then it takes the new link and is filed again, for a
-    new first pass.  Only bucket B of a sweep started at the gate-order
-    bound, which holds states of f below B, ever reaches a state lower:
-    elsewhere a state in bucket k sits at level k - h.  Bucket B's first
-    finished state is optimal, since every plan costs at least B and its
-    links replay a plan of at most its level, at most B.
+    new first pass.  Only a search that reads the layers ever reaches a
+    state lower: a child is recorded in its parent's bucket before its
+    h_w lifts it, and can be reached lower before its own bucket is swept.
+    A state is passed only in the bucket of its own f, at its lowest
+    level, so the first finished state is optimal.
 
     ``on_level(k, level, placement, fragment mask)`` sees each state on
-    its first pass, a seed that finished included, so each state is
-    reported once, and again on each new first pass.  ``state_cap``
+    the first pass that it is not lifted from, a seed that finished
+    included, so each state is reported once; a state lifted above the
+    optimum or the bound is never reported.  ``state_cap``
     bounds the closed-map records: each state reached, counted once
     however often it is filed again; the re-filed entries, at most two
     per state passed, are not counted.
@@ -701,6 +749,10 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     # at the start of each pass and cleared at its end, so that no pass
     # allocates one.
     occ = [-1] * n
+    # The gate-order layers, last first, once they are read and B > 1: a
+    # state whose done gates all lie in the first j of the B + 1 layers
+    # needs at least B + 1 - j more SWAPs.  Until then none.
+    layers_down: tuple[int, ...] = ()
 
     def intern(phys: tuple[int, ...]) -> int:
         idx = len(places)
@@ -795,10 +847,15 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
             ahead = list(islice(seeds, gbits + 1))
             seeds = chain(ahead, seeds)
             if len(ahead) > gbits:
-                least = _window_bound(info, graph)
+                layers = _window_bound(info, graph)
+                least = len(layers) - 1
                 if least > bound:
                     return None
                 if least > 1:
+                    # With B = 1, h_w is at most 1 <= h for every unfinished
+                    # state a free search keeps (each has run a gate), so
+                    # it would lift none.
+                    layers_down = layers[::-1]
                     k = least
                     seeds = chain(seeds, *(
                         _seeds(info, graph, j, start) for j in range(2, k + 1)
@@ -814,6 +871,8 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                 if not entries:
                     del cur[level]
                 key = entry >> nslots
+                if closed[key] & lmask != level:
+                    continue  # stale: the state was reached lower since
                 todo = entry & slot_mask
                 phys = places[key >> gbits]
             else:
@@ -830,6 +889,20 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                     raise over_cap(0)
                 level = todo = 0
             m = key & full
+            if not todo and layers_down:
+                # h_w, the layers after the last one that holds a done gate:
+                # a state whose level + h_w exceeds k waits, unpassed, in
+                # the bucket of that sum, or is dropped above the bound.
+                done = full ^ m
+                lift = level
+                for layer in layers_down:
+                    if layer & done:
+                        break
+                    lift += 1
+                if lift > k:
+                    if lift <= bound:
+                        buckets.setdefault(lift, {}).setdefault(level, []).append(key << nslots)
+                    continue
             for i, p in enumerate(phys):
                 occ[p] = i
             if not todo:
@@ -1033,17 +1106,16 @@ def search_levels(c: Circuit, g: CouplingGraph, p0: Placement | None = None, *,
     filed there come first, then each seed followed by the states it leads
     to, one at a time, deepest level first.  A state is reported at its
     first pass, not when it is passed again to build children of higher
-    f.  A state reached again has a new first pass only if it is reached
-    at a strictly lower level, and then it is reported again.  That
-    happens only in bucket B of a search started at the gate-order bound
-    B, which also holds the states of f below B; a state first passed in
-    any other bucket sits in the bucket of its own f and is reported
-    once.  Each state is taken just before it is expanded, so the
-    one in which the search finished is included; when the optimum is 0
-    it is the seed that finished, with its empty fragment.  ``p0`` None
-    seeds all placements, one per orbit of the graph's automorphisms; a
-    seed that runs no gate is then never built, and no state above level
-    0 equals the seed state of its placement.
+    f.  Once the search reads the gate-order layers, f is
+    level + max(h, h_w), and a state whose f exceeds its bucket is
+    reported in the bucket of its f, or never if that is above the
+    optimum.  Each state sits in the bucket of its own f, at its lowest
+    level, and is reported once.  Each state is taken just before it is
+    expanded, so the one in which the search finished is included; when
+    the optimum is 0 it is the seed that finished, with its empty
+    fragment.  ``p0`` None seeds all placements, one per orbit of the
+    graph's automorphisms; a seed that runs no gate is then never built,
+    and no state above level 0 equals the seed state of its placement.
     """
     from .subcircuits import Subcircuit, descriptor
 

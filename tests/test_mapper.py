@@ -61,10 +61,35 @@ def triangle_circuit():
     return Circuit.from_ops(3, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 2))])
 
 
-def window_bound(c, g):
-    """The search's gate-order lower bound B on every plan's SWAPs."""
+def window_layers(c, g):
+    """The gate-order layers L_1, ..., L_{B+1} as gate masks."""
     from qcmap.mapper import _CircuitInfo, _window_bound
     return _window_bound(_CircuitInfo(c), g)
+
+
+def window_bound(c, g):
+    """The search's gate-order lower bound B on every plan's SWAPs."""
+    return len(window_layers(c, g)) - 1
+
+
+def state_window_bound(layers, mask):
+    """h_w of a state whose pending gates are ``mask``: the layers after
+    the last one that holds a done gate."""
+    last = 0
+    for i, layer in enumerate(layers, 1):
+        if layer & ~mask:
+            last = i
+    return len(layers) - last
+
+
+def reads_window_bound(c, g):
+    """Whether a free search reads the layers: bucket 0 fails and bucket 1
+    yields more seeds than the circuit has gates."""
+    from qcmap.mapper import _CircuitInfo, _seeds
+    info = _CircuitInfo(c)
+    if not info.pairs or any(True for _ in _seeds(info, g, 0)):
+        return False
+    return len(list(itertools.islice(_seeds(info, g, 1), len(c.gates) + 1))) > len(c.gates)
 
 
 class TestPlacement:
@@ -730,9 +755,10 @@ class TestSeedDominance:
         from qcmap.mapper import _solve
         g = grid_square(3, 3)
         checked = {}
-        # Optimum 4 at a gate-order bound of 4, which the search starts at;
-        # and optimum 3 at a bound of 2, whose floor bucket is swept whole.
-        for c in (gen_random_circuit(RandomCircuitSpec(4, 18, 1.0, 1)),
+        # Optimum 4 at a gate-order bound of 3, and optimum 3 at a bound of
+        # 2: each search starts at its bound and lifts hundreds of states by
+        # h_w into the optimum's bucket, where they are passed.
+        for c in (gen_random_circuit(RandomCircuitSpec(5, 15, 1.0, 399253)),
                   gen_random_circuit(RandomCircuitSpec(5, 14, 1.0, 3))):
             full = (1 << len(c.gates)) - 1
             for strict in (False, True):
@@ -789,10 +815,12 @@ class TestSeedDominance:
 
 
 class TestLowerBound:
-    """Every state is filed in bucket f = level + h, where h is the largest
+    """Every state is passed in bucket f = level + h, where h is the largest
     hop distance, less one, between the operands of a two-qubit gate still
-    pending in its fragment (0 for an empty fragment); or, when the search
-    starts at the gate-order bound B, in the floor bucket B if f is lower."""
+    pending in its fragment (0 for an empty fragment).  A search that reads
+    the gate-order layers passes it in bucket level + max(h, h_w) instead:
+    h_w drops by at most one per SWAP, as h does, so every state sits in the
+    bucket of that f, the seeds below the bound B in bucket B."""
 
     @staticmethod
     def bucket(c, g, phys, mask, level):
@@ -806,35 +834,38 @@ class TestLowerBound:
     def test_bucket_is_level_plus_pending_distance(self):
         from qcmap.mapper import _solve
         rng = random.Random(61)
-        checked = floors = 0
+        checked = floors = lifted = 0
         start_buckets = set()
         for g in (grid_square(3, 3), aspen(), linear(6)):
-            for q in (3, 4):
+            for q in (3, 4, 5):
                 c = gen_random_circuit(RandomCircuitSpec(
                     q, rng.randrange(10, 18), rng.choice([1.0, 0.8]), rng.randrange(1000)))
                 p0 = Placement(tuple(rng.sample(range(g.num_nodes), q)))
+                layers = window_layers(c, g)
                 for start in (None, p0):
+                    reads = start is None and reads_window_bound(c, g)
                     for strict in (False, True):
                         seen = []
                         _solve(c, g, start=start, strict=strict, budget=None,
                                state_cap=DEFAULT_STATE_CAP,
                                on_level=lambda k, level, phys, mask:
                                    seen.append((k, level, phys, mask)))
-                        # The first state reported sits in the floor, if
-                        # there is one; else in its own bucket.
-                        floor = seen[0][0]
-                        if floor != self.bucket(c, g, *seen[0][2:], seen[0][1]):
-                            assert start is None and floor == window_bound(c, g) > 1
-                            floors += 1
                         for k, level, phys, mask in seen:
-                            assert k == max(self.bucket(c, g, phys, mask, level), floor), (
-                                g, c, start, strict, level, phys, mask)
+                            f = self.bucket(c, g, phys, mask, level)
+                            if reads:
+                                fw = level + state_window_bound(layers, mask)
+                                if level == 0:
+                                    assert fw == len(layers) - 1  # a seed's h_w is B
+                                lifted += fw > f
+                                f = max(f, fw)
+                            assert k == f, (g, c, start, strict, level, phys, mask)
                             checked += 1
+                        floors += reads and seen[0][0] > self.bucket(c, g, *seen[0][2:], 0)
                         if start is not None:
                             start_buckets.add(seen[0][0])
         assert checked > 1000, checked
         assert len(start_buckets) > 2, start_buckets
-        assert floors, "some searches start at the gate-order bound"
+        assert floors and lifted > 100, (floors, lifted)
 
 
 class TestWindowBound:
@@ -860,10 +891,13 @@ class TestWindowBound:
     def test_embedding_test_matches_every_placement(self):
         # The bound's embedding test, with its Hall count and its first
         # qubit kept to nodes no automorphism maps lower, against every
-        # injective placement, on graphs with large and with no groups.
-        from qcmap.mapper import _embeds
+        # injective placement, on graphs with large and with no groups;
+        # the backtrack's qubit order, index order and a shuffled order
+        # all give the same answer.
+        from qcmap.mapper import _backtrack_order, _embeds
         star = CouplingGraph(6, [(0, leaf) for leaf in range(1, 6)])
         rng = random.Random(137)
+        shuffler = random.Random(138)
         answers = set()
         for g in (cycle(6), grid_square(2, 3), star, generalized_petersen(5, 2), linear(5),
                   random_connected_graph(rng, 6, 3)):
@@ -877,7 +911,10 @@ class TestWindowBound:
                     partners[b] |= 1 << a
                 fits = any(all(g.has_edge(p[a], p[b]) for a, b in pairs)
                            for p in itertools.permutations(range(g.num_nodes), qubits))
-                assert _embeds(partners, g) == fits, (g, pairs)
+                shuffled = list(range(qubits))
+                shuffler.shuffle(shuffled)
+                for order in (_backtrack_order(partners)[0], range(qubits), shuffled):
+                    assert _embeds(partners, g, order) == fits, (g, pairs, order)
                 answers.add(fits)
         assert answers == {False, True}
 
@@ -919,14 +956,13 @@ class TestWindowBound:
     def test_budget_below_the_bound_builds_nothing(self):
         # Once bucket 1 has more seeds than the circuit has gates, the
         # search reads B, and a budget below B reports no state at all.
-        from qcmap.mapper import _CircuitInfo, _seeds, _solve
+        from qcmap.mapper import _solve
         refuted = 0
         cases = [(gen_random_circuit(RandomCircuitSpec(6, 20, 1.0, 1)), tokyo())]
         cases += [(c, g) for c, g, _p0 in self.device_draws()]
         for c, g in cases:
             b = window_bound(c, g)
-            ahead = itertools.islice(_seeds(_CircuitInfo(c), g, 1), len(c.gates) + 1)
-            gated = len(list(ahead)) > len(c.gates)
+            gated = reads_window_bound(c, g)
             for k in range(1, b):
                 calls = []
                 res = _solve(c, g, strict=False, budget=k, state_cap=DEFAULT_STATE_CAP,
@@ -938,23 +974,132 @@ class TestWindowBound:
         assert refuted >= 5, refuted
 
     def test_floor_passes_a_state_again_when_reached_lower(self):
-        # The floor bucket holds states of several f, so a state can be
-        # recorded deep down and reached again lower; passed only once, at
-        # the deeper level, these draws would cost one SWAP more.
+        # A child is recorded when it is built, before its h_w lifts it
+        # above its parent's bucket, so a second path can reach it lower
+        # before that bucket is swept.  The closed map files it again at
+        # the lower level, where it is passed once, and its lifted entry is
+        # skipped as stale.  Under a write-once map these draws cost one
+        # SWAP more, free or strict.
         from qcmap.mapper import _solve
         for g, qubits, gates, seed, strict, opt in (
-                (aspen(), 3, 19, 448366, True, 5),
-                (grid_square(3, 3), 5, 19, 55041, False, 4),
-                (aspen(), 4, 18, 446006, False, 4)):
+                (grid_square(2, 3), 5, 14, 9452, True, 3),
+                (aspen(), 5, 15, 19008, False, 3),
+                (aspen(), 5, 15, 19008, True, 3)):
             c = gen_random_circuit(RandomCircuitSpec(qubits, gates, 1.0, seed))
+            assert reads_window_bound(c, g) and window_bound(c, g) == opt, (g, seed)
             seen = []
             res = _solve(c, g, strict=strict, budget=None, state_cap=DEFAULT_STATE_CAP,
                          on_level=lambda k, level, phys, mask: seen.append((phys, mask)))
             assert res.cost == opt, (g, seed)
             report = verify_plan(c, g, res.plan)
             assert report.accepted and report.swaps_used == opt, (g, seed)
-            assert len(set(seen)) < len(seen), (g, seed)
+            assert len(set(seen)) == len(seen), (g, seed)
             assert not decide(c, g, opt - 1, strict=strict), (g, seed)
+
+    def test_layers_partition_the_gates_into_downsets(self):
+        # L_1, ..., L_{B+1} are disjoint and cover the circuit, and each
+        # union L_1 | ... | L_j holds every ancestor of its gates.
+        for c, g, _p0 in self.device_draws():
+            layers = window_layers(c, g)
+            union = 0
+            for layer in layers:
+                assert layer and not layer & union, (c.gates, g)
+                union |= layer
+                for i in range(len(c.gates)):
+                    if union >> i & 1:
+                        assert all(union >> p & 1 for p in c.direct_predecessors[i]), (c.gates, g)
+            assert union == (1 << len(c.gates)) - 1, (c.gates, g)
+
+    def test_state_bound_never_above_the_cost_to_go(self):
+        # For states that searches reading the layers report, the pending
+        # fragment's circuit, solved from the state's placement, costs at
+        # least h_w: the SWAPs the state still needs.  States with h_w above
+        # h, which the search lifts, are among them.
+        from qcmap.mapper import _solve
+        checked = above_h = tight = 0
+        draws = [(c, g) for c, g, _p0 in self.device_draws() if reads_window_bound(c, g)]
+        draws += [(gen_random_circuit(RandomCircuitSpec(5, 15, 1.0, seed)), g)
+                  for g, seed in ((grid_square(3, 3), 399253), (aspen(), 19008),
+                                  (grid_square(2, 3), 9452))]
+        for c, g in draws:
+            layers = window_layers(c, g)
+            for strict in (False, True):
+                seen = []
+                _solve(c, g, strict=strict, budget=None, state_cap=DEFAULT_STATE_CAP,
+                       on_level=lambda k, level, phys, mask: seen.append((phys, mask)))
+                for phys, mask in seen[::max(1, len(seen) // 24)]:
+                    hw = state_window_bound(layers, mask)
+                    rest = Subcircuit._from_mask(c, mask).to_circuit()
+                    cost = solve_from(rest, g, Placement(phys), strict=strict).cost
+                    assert cost >= hw, (c.gates, g, strict, phys, mask)
+                    checked += 1
+                    above_h += hw > TestLowerBound.bucket(c, g, phys, mask, 0)
+                    tight += cost == hw
+        assert len(draws) > 10 and checked > 400, (len(draws), checked)
+        assert above_h > 150 and tight > 30, (above_h, tight)
+
+    def test_lifting_keeps_every_answer(self, monkeypatch):
+        # One layer holding every gate makes B = 0 and h_w at most 1, which
+        # never exceeds h, so the search neither starts at the bound nor
+        # lifts a state.  With it and without, on criterion 1's and 2's
+        # corpora and on device draws with their fixed starts, free and
+        # strict: the same costs, plans that verify at cost, and the same
+        # decide at opt and opt-1; and brute force's cost where it reaches.
+        from helpers import criterion_1_instances, criterion_2_instances
+        from qcmap import mapper
+        cases = [(c, g, None) for c, g in itertools.chain(
+            criterion_1_instances(), criterion_2_instances())]
+        cases += [(c, g, start) for c, g, p0 in self.device_draws() for start in (None, p0)]
+
+        def answers():
+            out = []
+            for c, g, start in cases:
+                for strict in (False, True):
+                    res = (solve_exact(c, g, strict=strict) if start is None
+                           else solve_from(c, g, start, strict=strict))
+                    row = [res.cost]
+                    if res.feasible:
+                        report = verify_plan(c, g, res.plan)
+                        assert report.accepted and report.swaps_used == res.cost, (
+                            c.gates, g, start, strict)
+                        if start is None:
+                            row += [decide(c, g, k, strict=strict)
+                                    for k in sorted({max(res.cost - 1, 0), res.cost})]
+                    out.append(row)
+            return out
+
+        real = mapper._window_bound
+        reads = []
+
+        def counted(info, graph):
+            layers = real(info, graph)
+            reads.append(len(layers) - 1)
+            return layers
+
+        monkeypatch.setattr(mapper, "_window_bound", counted)
+        lifted = answers()
+        assert sum(b > 1 for b in reads) > 40, reads
+        monkeypatch.setattr(mapper, "_window_bound", lambda info, graph: (info.full_mask,))
+        assert answers() == lifted
+        for c, g in criterion_2_instances()[:100]:
+            limits = dict(max_nodes=g.num_nodes)
+            for strict in (False, True):
+                cost = solve_exact(c, g, strict=strict).cost
+                assert cost == brute_force_g(c, g, strict=strict, **limits).cost, (c.gates, g)
+
+    def test_table_rows_keep_their_optima(self):
+        # The ROADMAP limits table's rows that lifting shrinks or keeps,
+        # under a second each: free and strict at the recorded optimum,
+        # verified, and no plan one SWAP cheaper.
+        for g, qubits, gates, seed, opt in ((tokyo(), 5, 15, 27, 2), (aspen(), 6, 15, 1, 4),
+                                            (tokyo(), 6, 20, 1, 2)):
+            c = gen_random_circuit(RandomCircuitSpec(qubits, gates, 1.0, seed))
+            for strict in (False, True):
+                res = solve_exact(c, g, strict=strict)
+                report = verify_plan(c, g, res.plan)
+                assert res.cost == opt and report.accepted and report.swaps_used == opt, (
+                    g, seed, strict)
+                assert not decide(c, g, opt - 1, strict=strict), (g, seed, strict)
 
     def test_decide_below_the_bound_on_tokyo(self):
         # 80,460 seeds in bucket 1 and a bound of 2: decide(1) says no
@@ -1103,12 +1248,12 @@ class TestSearchLevels:
         assert checked > 1000, "the draw's searches expand hundreds of frontiers"
 
     def test_no_state_reported_twice_in_any_mode(self):
-        # The closed map passes a state again only when it is reached at a
-        # strictly lower level: across a whole search, over all placements
-        # or from a fixed start, strict or not, each (placement, fragment)
-        # is reported once, alone.  Only the floor, bucket B of a search
-        # started at the gate-order bound B, holds states of several f; a
-        # state reached again lower there is passed, and reported, again.
+        # Across a whole search, over all placements or from a fixed
+        # start, strict or not, each (placement, fragment) is reported
+        # once, alone: every state is passed in the bucket of its own f, at
+        # its lowest level.  A search that reads the gate-order layers can
+        # record a child before h_w lifts it and reach it lower later; the
+        # lifted entry, left at the old level, is stale and never passed.
         # Fuller graphs give strict fixed starts room to move.
         from qcmap.mapper import _solve
         rng = random.Random(113)
@@ -1119,12 +1264,13 @@ class TestSearchLevels:
                 q, rng.randrange(12, 18), 1.0, rng.randrange(1000)))
             p0 = Placement(tuple(rng.sample(range(g.num_nodes), q)))
             cases += [(c, g, start, strict) for start in (None, p0) for strict in (False, True)]
-        # A draw whose floor bucket reaches one state again lower down.
-        again = Circuit.from_ops(4, [("cx", p) for p in (
-            (0, 1), (2, 1), (2, 3), (3, 1), (2, 3), (1, 3), (0, 2), (0, 2), (1, 2), (3, 2),
-            (3, 1), (3, 1), (3, 2))])
-        cases += [(again, aspen(), None, strict) for strict in (False, True)]
-        checked, repeats = {}, 0
+        # Draws whose searches pop a stale entry before they finish: passed,
+        # each would report a state twice.
+        for g, q, gates, seed, modes in ((grid_square(3, 3), 4, 20, 89885, (False, True)),
+                                         (aspen(), 5, 19, 588512, (False,))):
+            c = gen_random_circuit(RandomCircuitSpec(q, gates, 1.0, seed))
+            cases += [(c, g, None, strict) for strict in modes]
+        checked = {}
         for c, g, start, strict in cases:
             where = (g, c, start, strict)
             levels = search_levels(c, g, start, strict=strict, state_cap=100_000)
@@ -1134,18 +1280,10 @@ class TestSearchLevels:
             _solve(c, g, start=start, strict=strict, budget=None, state_cap=100_000,
                    on_level=lambda k, level, phys, mask: seen.append((k, level, phys, mask)))
             assert len(seen) == len(levels), where
-            floor = window_bound(c, g) if seen[0][0] > 1 else None
-            last = {}
-            for k, level, phys, mask in seen:
-                if (phys, mask) in last:
-                    k0, level0 = last[phys, mask]
-                    assert k == k0 == floor and level < level0, (where, phys, mask)
-                    repeats += 1
-                last[phys, mask] = k, level
+            assert len({(phys, mask) for _k, _level, phys, mask in seen}) == len(seen), where
             mode = (start is None, strict)
             checked[mode] = checked.get(mode, 0) + len(seen)
         assert len(checked) == 4 and min(checked.values()) > 500, checked
-        assert repeats == 2, repeats
 
     def test_fixed_start_has_single_seed(self):
         c = triangle_circuit()
@@ -1248,11 +1386,11 @@ class TestTraceDigest:
     """A sha256 over everything the search shows: each ``on_level`` call,
     each plan and cost, each ``ResourceLimitError`` text and, for a free
     search with a finite optimum, ``decide`` at 0, opt-1 and opt.  The
-    digests were recorded when the search started at the gate-order bound;
-    a change that reorders the search records new ones and says so in
-    CHANGES.md, and leaves ``ANSWERS_DIGEST`` as it is."""
+    digests were recorded when the search lifted states by the gate-order
+    layers; a change that reorders the search records new ones and says
+    so in CHANGES.md, and leaves ``ANSWERS_DIGEST`` as it is."""
 
-    DIGEST = "598136ae02868bd21ca4cd5bd340000e1f2ef6454e78f51ce0065e72e914bfbb"
+    DIGEST = "af13e69dcbdec43afd63806068bca7f90b828792c8f2cdd129629c9f3997c85f"
 
     @staticmethod
     def corpus():
@@ -1313,7 +1451,7 @@ class TestTraceDigest:
         assert self.digest(self.corpus()) == self.DIGEST
 
     # The device graphs, with their empty nodes and automorphism groups.
-    DEVICE_DIGEST = "1d9d19573832ef5cdd7710988ba0b33653de1638770b9bb8ce72340fcde95f3d"
+    DEVICE_DIGEST = "8db2409e71cdd3c697ec86b930aaa9fa426007d025f3efe855d0074150220057"
 
     @staticmethod
     def device_corpus():
