@@ -230,6 +230,12 @@ class CouplingGraph:
         return self._max_degree
 
     def is_bipartite(self) -> bool:
+        """Whether the nodes split in two sides with every edge across,
+        found once per graph."""
+        return self._bipartite
+
+    @cached_property
+    def _bipartite(self) -> bool:
         # In a connected graph an edge joins nodes at equal hop counts from
         # node 0 or at counts one apart; only the first closes an odd cycle.
         d = self._bfs(0)

@@ -93,6 +93,17 @@ lies within the first j layers, and a reduced state runs nothing until
 its next SWAP, so s more SWAPs leave the done gates within the first
 j + s layers, and the state needs h_w = B + 1 - j more SWAPs at least.
 
+Each step is one ascending scan over the gates not yet in a layer, in
+the shape of the fragment reduction: per qubit it keeps the pair set of
+the last gate the step added on that line, with its ancestors outside D,
+and a gate refused blocks its qubits, as every later gate on them has it
+as an ancestor.  Embedding answers are kept per pair set.  A "yes" keeps
+a witness placement, and a new set is answered "yes" by growing the
+witness of a smaller one, placing only the qubits it lacks, or by the
+witness of a kept set that holds it.  A "no" comes from a kept set that
+does not embed and lies inside the new one, or from an odd cycle on a
+bipartite graph.  A backtrack runs only when none of these answers.
+
 The search reads the layers once bucket 0 (the embedding test) has
 failed and bucket 1 has yielded more seeds than the circuit has gates;
 the seeds counted are kept, so none is enumerated twice, and small
@@ -262,18 +273,17 @@ class SearchState:
 
 class _CircuitInfo:
     """Preprocessed per-solve tables: operand pairs, per pair the bitmask
-    of its gates, the front gates' pairs, per-gate qubit masks, per-qubit
-    partner masks and the degrees in decreasing order, all from one pass
-    over the gates.  The seed backtrack's qubit order is built on first
-    use (``backtrack``), so a bucket that the Hall count refutes never
-    builds it.  The circuit is kept for the gate-order bound, which reads
-    its ``direct_predecessors``."""
+    of its gates, the front gates' pairs, per-gate qubit masks, the mask
+    of the qubits that carry a gate, per-qubit partner masks and the
+    degrees in decreasing order, all from one pass over the gates.  The
+    seed backtrack's qubit order is built on first use (``backtrack``), so
+    a bucket that the Hall count refutes never builds it.  The gate-order
+    bound reads these tables alone: per-gate qubit masks and pairs give
+    its scan everything that gate order holds."""
 
     def __init__(self, c: Circuit):
-        self.circuit = c
         gates = c.gates
         self.num_qubits = c.num_qubits
-        self.all_qubits = (1 << c.num_qubits) - 1
         self.num_gates = len(gates)
         self.full_mask = (1 << len(gates)) - 1
         # Per gate: the bitmask of its qubits and the index of its operand
@@ -316,6 +326,9 @@ class _CircuitInfo:
             seen |= qs
             bit <<= 1
         self.gate_qubits = tuple(gate_qubits)
+        # The qubits that carry a gate: once a scan has blocked all of them,
+        # no later gate can run.  Idle qubits are never blocked.
+        self.used_qubits = seen
         self.gate_pair = tuple(gate_pair)
         self.pair_gates = tuple(pair_gates)
         self.pairs = list(index)
@@ -487,9 +500,11 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, .
         cands[i] = cand
 
 
-def _embeds(partners: list[int], graph: CouplingGraph, order: Iterable[int]) -> bool:
-    """Whether distinct nodes can hold the qubits so that each qubit's
-    partners (a bitmask per qubit) sit on nodes adjacent to its own.
+def _embeds(partners: list[int], graph: CouplingGraph, order: Iterable[int]) -> list[int] | None:
+    """A placement of the qubits on distinct nodes such that each qubit's
+    partners (a bitmask per qubit) sit on nodes adjacent to its own: per
+    qubit its node, -1 for a qubit without partners.  None when there is
+    none.
 
     The Hall count on the room sets of ``graph.within(1)`` comes first,
     then a backtrack over the adjacency masks that places the qubits with
@@ -505,7 +520,7 @@ def _embeds(partners: list[int], graph: CouplingGraph, order: Iterable[int]) -> 
     for d in sorted((m.bit_count() for m in partners), reverse=True):
         c += 1
         if room[d].bit_count() < c:
-            return False
+            return None
     # Per position, its qubit, the nodes with room for its partners and
     # the mask of its partners placed before it.
     seq, fits, back = [], [], []
@@ -522,7 +537,7 @@ def _embeds(partners: list[int], graph: CouplingGraph, order: Iterable[int]) -> 
     lowest = (1 << graph.num_nodes) - 1
     for down in graph.automorphism_masks[1]:
         lowest &= ~down
-    pos = [0] * len(partners)
+    pos = [-1] * len(partners)
     # Depth-first over positions, as in _seeds: cands[i] holds the nodes
     # still to try at position i, free[i] the nodes left free before it.
     cands = [0] * size
@@ -540,7 +555,7 @@ def _embeds(partners: list[int], graph: CouplingGraph, order: Iterable[int]) -> 
         pos[seq[i]] = low.bit_length() - 1
         i += 1
         if i == size:
-            return True
+            return pos
         free[i] = free[i - 1] ^ low
         cand = free[i] & fits[i]
         m = back[i]
@@ -549,7 +564,118 @@ def _embeds(partners: list[int], graph: CouplingGraph, order: Iterable[int]) -> 
             m ^= r
             cand &= adj[pos[r.bit_length() - 1]]
         cands[i] = cand
+    return None
+
+
+def _odd_cycle(partners: list[int]) -> bool:
+    """Whether the pattern whose partner masks are ``partners`` has a cycle
+    of odd length.  Such a pattern embeds in no bipartite graph: an
+    embedding maps the cycle onto a closed walk of the same odd length,
+    and a bipartite graph has none.
+
+    Breadth-first over each component, one level at a time: an edge
+    inside a level closes an odd cycle, and a component with none splits
+    into its even and its odd levels."""
+    seen = 0
+    for q, m in enumerate(partners):
+        if not m or seen >> q & 1:
+            continue
+        level = 1 << q
+        seen |= level
+        while level:
+            reach = 0
+            rest = level
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                reach |= partners[low.bit_length() - 1]
+            if reach & level:
+                return True
+            level = reach & ~seen
+            seen |= level
     return False
+
+
+def _extend(witness: tuple[list[int], int], new: int, pairs: list[tuple[int, int]],
+            links: list[list[tuple[int, int]]], adj: tuple[int, ...],
+            hubs: int) -> tuple[list[int], int] | None:
+    """A witness for a pattern that embeds plus the pairs of the mask
+    ``new``, grown from that pattern's ``witness``: per qubit its node, or
+    -1, and the mask of the nodes taken.  None when this greedy growth
+    fails, which says nothing about whether the larger pattern embeds.
+
+    Only the qubits the witness lacks are placed.  A new pair between two
+    placed qubits must already lie on an edge.  The next qubit placed is
+    the other operand of the first new pair with one operand placed; it
+    goes on the lowest free node adjacent to all its placed partners
+    (``links``: per qubit, each of its pairs' bit with the other
+    operand).  When no new pair touches a placed qubit, an operand of the
+    first one starts a free edge: it goes on the lowest free node of the
+    largest degree (``hubs``), or else on the lowest free node with a
+    free neighbour.
+    """
+    pos, taken = witness
+    pos = pos[:]
+    loose = 0  # the new pairs with an operand not yet placed
+    m = new
+    while m:
+        low = m & -m
+        m ^= low
+        a, b = pairs[low.bit_length() - 1]
+        if pos[a] < 0 or pos[b] < 0:
+            loose |= low
+        elif not adj[pos[a]] >> pos[b] & 1:
+            return None
+    free = ((1 << len(adj)) - 1) ^ taken
+    while loose:
+        m = loose
+        while m:
+            low = m & -m
+            m ^= low
+            a, b = pairs[low.bit_length() - 1]
+            if pos[a] >= 0:
+                x = b
+                break
+            if pos[b] >= 0:
+                x = a
+                break
+        else:
+            x = pairs[(loose & -loose).bit_length() - 1][0]
+            m = free & hubs
+            if m:
+                low = m & -m
+            else:
+                m = free
+                while m:
+                    low = m & -m
+                    m ^= low
+                    if adj[low.bit_length() - 1] & free:
+                        break
+                else:
+                    return None
+            pos[x] = low.bit_length() - 1
+            free ^= low
+            continue
+        cand = free
+        for bit, y in links[x]:
+            if loose & bit and pos[y] >= 0:
+                cand &= adj[pos[y]]
+                loose ^= bit
+        if not cand:
+            return None
+        low = cand & -cand
+        pos[x] = low.bit_length() - 1
+        free ^= low
+    return pos, ((1 << len(adj)) - 1) ^ free
+
+
+def _fit_above(witnesses: dict[int, tuple[list[int], int]], pm: int) -> tuple[list[int], int] | None:
+    """The witness of a kept pattern that holds every pair of the mask
+    ``pm``, which is a witness for ``pm`` too; None if no kept one does."""
+    for m, w in witnesses.items():
+        if not pm & ~m:
+            return w
+    return None
 
 
 def _window_bound(info: _CircuitInfo, graph: CouplingGraph) -> tuple[int, ...]:
@@ -560,76 +686,114 @@ def _window_bound(info: _CircuitInfo, graph: CouplingGraph) -> tuple[int, ...]:
     Between two SWAPs the placement is fixed, so the gates that run there
     (a window) have their operand pairs on edges: the window's pairs
     embed in the graph.  A step from a downset D of done gates adds every
-    gate g outside D whose pairs, with those of g's ancestors outside D,
-    embed.  Any one window after D adds only such gates, since a window
-    that runs g runs its ancestors outside D too and a subset of an
-    embeddable pair set embeds; and a larger D adds more.  So after s
-    SWAPs, s + 1 windows, the done gates lie inside s + 1 steps from the
-    empty set, and a plan costs at least the number of steps that cover
-    the circuit, less one.  Strict mode and fixed starts only restrict
-    plans, so the bound holds there too.  The same argument from a state
-    gives the search its per-state bound (see the module docstring).
+    gate g outside D whose pairs, with those of g's ancestors outside D
+    (g's closure), embed.  Any one window after D adds only such gates,
+    since a window that runs g runs its ancestors outside D too and a
+    subset of an embeddable pair set embeds; and a larger D adds more.
+    So after s SWAPs, s + 1 windows, the done gates lie inside s + 1
+    steps from the empty set, and a plan costs at least the number of
+    steps that cover the circuit, less one.  Strict mode and fixed starts
+    only restrict plans, so the bound holds there too.  The same argument
+    from a state gives the search its per-state bound (see the module
+    docstring).
 
-    Each pair set is tested by ``_embeds`` once, in the seed backtrack's
-    qubit order (``info.backtrack``): the answers are kept by pair mask,
-    and a subset of an embeddable set, or a superset of one that does not
-    embed, is answered from the kept sets.  Call it with no more qubits
-    than nodes.
+    A step is one ascending scan over the gates outside D, the shape of
+    the search's fragment reduction.  Per qubit it keeps the closure of
+    the last gate it added on that qubit's line (none at first), and a
+    refused gate blocks its qubits.  This gives the same steps as a
+    closure computed per gate from its predecessors, for two reasons.  A
+    gate with a blocked qubit is refused: the refused gate before it on
+    that line is its ancestor, so its closure holds that gate's closure,
+    which does not embed.  And otherwise the gate's closure is its own
+    pair with its lines' kept closures: its ancestors outside D are those
+    of the last gates before it on its lines, each of which the scan has
+    added, or lies in D with every earlier gate on its line, since D is a
+    downset, and then the line keeps none.  A single-qubit gate adds
+    nothing to its line's closure, which embeds.  Once every qubit that
+    carries a gate is blocked, the step adds nothing more.
+
+    A pair mask's embedding is answered once, and kept.  Each "yes"
+    keeps a witness: per qubit its node, and the nodes taken.  A new
+    closure is tried first by growing the witness of the larger of its
+    lines' closures (``_extend``), placing only the qubits it lacks; then
+    by the witness of a kept pattern that holds it (``_fit_above``).
+    Neither ever answers "no".  A closure that holds a pattern known not
+    to embed does not embed; on a bipartite graph, nor does one with an
+    odd cycle (``_odd_cycle``).  Only then does the ``_embeds`` backtrack
+    run, in the seed backtrack's qubit order (``info.backtrack``), and
+    its witness is kept.  Call it with no more qubits than nodes.
     """
-    pairs, gate_pair = info.pairs, info.gate_pair
-    preds = info.circuit.direct_predecessors
-    order = info.backtrack[0]
-    fits: list[int] = []
+    pairs, gate_pair, gate_qubits = info.pairs, info.gate_pair, info.gate_qubits
+    used = info.used_qubits
+    nq = info.num_qubits
+    adj = graph.adjacency_masks
+    hubs = graph.within(1)[1][graph.max_degree()]  # the nodes of the largest degree
+    links: list[list[tuple[int, int]]] = [[] for _ in range(nq)]
+    for pi, (a, b) in enumerate(pairs):
+        links[a].append((1 << pi, b))
+        links[b].append((1 << pi, a))
+    # Pair mask -> witness, for each mask known to embed; the empty
+    # pattern's places nothing.  And the masks known not to embed.
+    witnesses: dict[int, tuple[list[int], int]] = {0: ([-1] * nq, 0)}
     misfits: list[int] = []
 
-    def embeds(pm: int) -> bool:
-        if not pm & (pm - 1):
-            return True  # one pair or none: any edge holds it
-        for m in fits:
-            if not pm & ~m:
-                return True
-        for m in misfits:
-            if not m & ~pm:
-                return False
-        partners = [0] * info.num_qubits
-        for pi, (a, b) in enumerate(pairs):
-            if pm >> pi & 1:
+    def embeds(pm: int, base: int) -> bool:
+        w = _extend(witnesses[base], pm & ~base, pairs, links, adj, hubs)
+        if w is None:
+            w = _fit_above(witnesses, pm)
+        if w is None:
+            for m in misfits:
+                if not m & ~pm:
+                    return False
+            partners = [0] * nq
+            m = pm
+            while m:
+                low = m & -m
+                m ^= low
+                a, b = pairs[low.bit_length() - 1]
                 partners[a] |= 1 << b
                 partners[b] |= 1 << a
-        if _embeds(partners, graph, order):
-            fits.append(pm)
-            return True
-        misfits.append(pm)
-        return False
+            pos = (None if graph.is_bipartite() and _odd_cycle(partners)
+                   else _embeds(partners, graph, info.backtrack[0]))
+            if pos is None:
+                misfits.append(pm)
+                return False
+            taken = 0
+            for p in pos:
+                if p >= 0:
+                    taken |= 1 << p
+            w = pos, taken
+        witnesses[pm] = w
+        return True
 
-    num_gates = info.num_gates
-    done = [False] * num_gates
+    rest = info.full_mask
     layers = []
-    while not all(done):
-        # Per gate outside D, the pair mask of it and its ancestors outside
-        # D; a gate with an ancestor refused in this step is refused too.
-        # A gate's ancestors come before it, and D is a downset.
-        pm = [0] * num_gates
-        refused = [False] * num_gates
-        layer = 0
-        for i in range(num_gates):
-            if done[i]:
-                continue
-            mask = 0 if gate_pair[i] < 0 else 1 << gate_pair[i]
-            for p in preds[i]:
-                if not done[p]:
-                    if refused[p]:
-                        refused[i] = True
-                        break
-                    mask |= pm[p]
-            else:
-                pm[i] = mask
-                if embeds(mask):
-                    layer |= 1 << i
-                else:
-                    refused[i] = True
-        done = [not r for r in refused]
+    while rest:
+        line = [0] * nq  # per qubit, the closure of its line's last added gate
+        blocked = layer = 0
+        m = rest
+        while m:
+            low = m & -m
+            m ^= low
+            i = low.bit_length() - 1
+            qs = gate_qubits[i]
+            if not qs & blocked:
+                pi = gate_pair[i]
+                if pi < 0:
+                    layer |= low  # its closure is its line's, which embeds
+                    continue
+                a, b = pairs[pi]
+                la, lb = line[a], line[b]
+                pm = la | lb | 1 << pi
+                if pm in witnesses or embeds(pm, la if la.bit_count() >= lb.bit_count() else lb):
+                    line[a] = line[b] = pm
+                    layer |= low
+                    continue
+            blocked |= qs
+            if blocked == used:
+                break
         layers.append(layer)
+        rest ^= layer
     return tuple(layers)
 
 
@@ -712,7 +876,7 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     npairs = len(pairs)
     pair_gates = info.pair_gates
     gate_qubits = info.gate_qubits
-    all_qubits = info.all_qubits
+    used_qubits = info.used_qubits
     gate_pair = info.gate_pair
     gbits = info.num_gates
     full = info.full_mask
@@ -770,7 +934,8 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
     def reduce_mask(mask: int, sig: int) -> int:
         # One ascending pass: a gate runs unless an earlier remaining gate
         # shares a qubit with it (that qubit is blocked) or its operands
-        # are not adjacent.  Once every qubit is blocked nothing else runs.
+        # are not adjacent.  Once every qubit that carries a gate is
+        # blocked nothing else runs.
         out = mask
         m = mask
         blocked = 0
@@ -785,7 +950,7 @@ def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | N
                     out ^= low
                     continue
             blocked |= qs
-            if blocked == all_qubits:
+            if blocked == used_qubits:
                 break
         reduce_memo[mask << npairs | sig] = out
         return out

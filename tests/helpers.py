@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import functools
 import itertools
 import random
 
@@ -79,6 +80,46 @@ def random_cnot_circuit(rng: random.Random, num_qubits: int, num_gates: int) -> 
             b += 1
         ops.append(("cx", (a, b)))
     return Circuit.from_ops(num_qubits, ops)
+
+
+@functools.cache
+def embeds_by_permutations(g: CouplingGraph, pairs: frozenset) -> bool:
+    """Whether some injective placement, tried with itertools.permutations,
+    puts every qubit pair of ``pairs`` on an edge of g."""
+    qubits = sorted({q for p in pairs for q in p})
+    slots = [(qubits.index(a), qubits.index(b)) for a, b in pairs]
+    edges = g.edges | {(b, a) for a, b in g.edges}
+    return any(all((place[i], place[j]) in edges for i, j in slots)
+               for place in itertools.permutations(range(g.num_nodes), len(qubits)))
+
+
+def reference_layers(c: Circuit, g: CouplingGraph) -> tuple[int, ...]:
+    """The gate-order layers L_1, ..., L_{B+1} as gate masks, from their
+    definition.  From the done set D, empty at first, a step adds every
+    gate whose operand pairs, with those of its ancestors outside D,
+    embed (``embeds_by_permutations``).  A gate's ancestors outside D are
+    taken from Circuit.direct_predecessors."""
+    preds = c.direct_predecessors
+    n = len(c.gates)
+    pair = [tuple(sorted(gate.qubits)) if len(gate.qubits) == 2 else None for gate in c.gates]
+    done = 0
+    layers = []
+    while done != (1 << n) - 1:
+        closure = [0] * n  # per gate outside D, it and its ancestors outside D
+        layer = 0
+        for i in range(n):
+            if done >> i & 1:
+                continue
+            closure[i] = 1 << i
+            for p in preds[i]:
+                if not done >> p & 1:
+                    closure[i] |= closure[p]
+            pairs = frozenset(pair[j] for j in range(n) if closure[i] >> j & 1 and pair[j])
+            if embeds_by_permutations(g, pairs):
+                layer |= 1 << i
+        layers.append(layer)
+        done |= layer
+    return tuple(layers)
 
 
 def all_subcircuit_masks(c: Circuit) -> list[int]:

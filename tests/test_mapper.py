@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -31,6 +32,7 @@ from qcmap import (
     gen_path_circuit,
     gen_random_circuit,
     grid_square,
+    grid_triangle,
     ham_cycle,
     linear,
     load_plan,
@@ -893,12 +895,16 @@ class TestWindowBound:
         # qubit kept to nodes no automorphism maps lower, against every
         # injective placement, on graphs with large and with no groups;
         # the backtrack's qubit order, index order and a shuffled order
-        # all give the same answer.
-        from qcmap.mapper import _backtrack_order, _embeds
+        # all give the same answer, and each witness it gives puts the
+        # qubits with partners on distinct nodes and every pair on an
+        # edge.  On a bipartite graph the odd-cycle rule refutes only
+        # patterns that do not embed.
+        from qcmap.mapper import _backtrack_order, _embeds, _odd_cycle
         star = CouplingGraph(6, [(0, leaf) for leaf in range(1, 6)])
         rng = random.Random(137)
         shuffler = random.Random(138)
         answers = set()
+        refuted = 0
         for g in (cycle(6), grid_square(2, 3), star, generalized_petersen(5, 2), linear(5),
                   random_connected_graph(rng, 6, 3)):
             for _ in range(25):
@@ -914,9 +920,20 @@ class TestWindowBound:
                 shuffled = list(range(qubits))
                 shuffler.shuffle(shuffled)
                 for order in (_backtrack_order(partners)[0], range(qubits), shuffled):
-                    assert _embeds(partners, g, order) == fits, (g, pairs, order)
+                    witness = _embeds(partners, g, order)
+                    assert (witness is not None) == fits, (g, pairs, order)
+                    if witness is not None:
+                        held = [witness[q] for q in range(qubits) if partners[q]]
+                        assert len(set(held)) == len(held) and min(held) >= 0, (g, pairs, witness)
+                        assert all(witness[q] == -1 for q in range(qubits) if not partners[q])
+                        assert all(g.has_edge(witness[a], witness[b]) for a, b in pairs), (
+                            g, pairs, witness)
+                if g.is_bipartite() and _odd_cycle(partners):
+                    assert not fits, (g, pairs)
+                    refuted += 1
                 answers.add(fits)
         assert answers == {False, True}
+        assert refuted >= 10, refuted
 
     def test_repeated_triangles(self):
         # Each triangle needs a SWAP on a triangle-free graph; three in a
@@ -1010,6 +1027,61 @@ class TestWindowBound:
                         assert all(union >> p & 1 for p in c.direct_predecessors[i]), (c.gates, g)
             assert union == (1 << len(c.gates)) - 1, (c.gates, g)
 
+    def test_layers_match_their_definition(self, monkeypatch):
+        # The scan's layers equal reference_layers', which tests each
+        # gate's closure, taken from Circuit.direct_predecessors, against
+        # every injective placement.  Graphs: bipartite, trees and
+        # non-bipartite; circuits: all-CNOT and mixed, some with an idle
+        # qubit.  Each way the scan answers an embedding (a grown
+        # witness, a kept fit that holds the pattern, the odd-cycle rule
+        # and the backtrack's yes and no) runs often enough that a wrong
+        # answer on it would show.
+        from helpers import reference_layers
+        from qcmap import mapper
+        paths = collections.Counter()
+
+        def count(name, path):
+            real = getattr(mapper, name)
+
+            def counted(*args):
+                out = real(*args)
+                paths[path(out)] += 1
+                return out
+            monkeypatch.setattr(mapper, name, counted)
+
+        count("_extend", lambda w: "grown" if w is not None else None)
+        count("_fit_above", lambda w: "kept fit" if w is not None else None)
+        count("_odd_cycle", lambda odd: "odd cycle" if odd else None)
+        count("_embeds", lambda w: "backtrack yes" if w is not None else "backtrack no")
+        star = CouplingGraph(6, [(0, leaf) for leaf in range(1, 6)])
+        rng = random.Random(263)
+        cases = []
+        # The reference's permutations keep the Petersen graph to 4 qubits.
+        # Of the non-bipartite graphs, the triangular patch is where a grown
+        # witness fails most often on a pattern with an odd cycle.
+        for g, most in ((grid_square(2, 3), 5), (cycle(6), 5), (linear(5), 5), (star, 5),
+                        (cycle(5), 5), (clique(4), 4), (generalized_petersen(5, 2), 4),
+                        (grid_triangle(1, 2), 5)):
+            for _ in range(40):
+                q = rng.randrange(3, most + 1)
+                c = gen_random_circuit(RandomCircuitSpec(
+                    q, rng.randrange(4, 25), rng.choice([1.0, 0.7]), rng.randrange(10**6)))
+                if q < g.num_nodes and rng.random() < 0.25:
+                    c = Circuit.from_ops(q + 1, [(gate.label, gate.qubits) for gate in c.gates])
+                cases.append((c, g))
+        # On trees a grown witness can fail where a kept fit answers, most
+        # often on 5-qubit all-CNOT draws.
+        cases += [(gen_random_circuit(RandomCircuitSpec(5, 20, 1.0, seed)), g)
+                  for g in (linear(5), star) for seed in range(60)]
+        for c, g in cases:
+            assert window_layers(c, g) == reference_layers(c, g), (c.gates, g)
+        del paths[None]
+        floors = {"grown": 1500, "kept fit": 8, "odd cycle": 200,
+                  "backtrack yes": 250, "backtrack no": 300}
+        assert all(paths[path] >= floor for path, floor in floors.items()), paths
+        assert sum(c.num_qubits > len({q for gate in c.gates for q in gate.qubits})
+                   for c, g in cases) >= 40
+
     def test_state_bound_never_above_the_cost_to_go(self):
         # For states that searches reading the layers report, the pending
         # fragment's circuit, solved from the state's placement, costs at
@@ -1041,15 +1113,21 @@ class TestWindowBound:
     def test_lifting_keeps_every_answer(self, monkeypatch):
         # One layer holding every gate makes B = 0 and h_w at most 1, which
         # never exceeds h, so the search neither starts at the bound nor
-        # lifts a state.  With it and without, on criterion 1's and 2's
-        # corpora and on device draws with their fixed starts, free and
-        # strict: the same costs, plans that verify at cost, and the same
-        # decide at opt and opt-1; and brute force's cost where it reaches.
-        from helpers import criterion_1_instances, criterion_2_instances
+        # lifts a state.  With it and without, on criterion 2's corpus, on
+        # device draws with their fixed starts and on pinned draws that
+        # read the layers with B > 1, free and strict: the same costs, plans
+        # that verify at cost, and the same decide at opt and opt-1; and
+        # brute force's cost where it reaches.  The pinned draws end with
+        # two where a write-once closed map costs one SWAP more.
+        from helpers import criterion_2_instances
         from qcmap import mapper
-        cases = [(c, g, None) for c, g in itertools.chain(
-            criterion_1_instances(), criterion_2_instances())]
+        cases = [(c, g, None) for c, g in criterion_2_instances()]
         cases += [(c, g, start) for c, g, p0 in self.device_draws() for start in (None, p0)]
+        cases += [(gen_random_circuit(RandomCircuitSpec(qubits, gates, 1.0, seed)), g, None)
+                  for g, qubits, gates in ((grid_square(2, 3), 5, 14), (grid_square(3, 3), 4, 12))
+                  for seed in range(20)]
+        cases += [(gen_random_circuit(RandomCircuitSpec(5, gates, 1.0, seed)), g, None)
+                  for g, gates, seed in ((grid_square(2, 3), 14, 9452), (aspen(), 15, 19008))]
 
         def answers():
             out = []
@@ -1078,7 +1156,7 @@ class TestWindowBound:
 
         monkeypatch.setattr(mapper, "_window_bound", counted)
         lifted = answers()
-        assert sum(b > 1 for b in reads) > 40, reads
+        assert sum(b > 1 for b in reads) > 150, reads
         monkeypatch.setattr(mapper, "_window_bound", lambda info, graph: (info.full_mask,))
         assert answers() == lifted
         for c, g in criterion_2_instances()[:100]:
@@ -1246,6 +1324,45 @@ class TestSearchLevels:
                 assert reduce_subcircuit(sub, placement, g) == sub, (c, g, strict)
             checked += len(states)
         assert checked > 1000, "the draw's searches expand hundreds of frontiers"
+
+    def test_idle_qubits_keep_every_fragment_reduced(self):
+        # The search's reduction stops once every qubit that carries a
+        # gate is blocked; an idle qubit is never blocked, and a qubit with
+        # single-qubit gates alone is not idle.  On circuits with both, each
+        # reported state holds the fragment of reduce_subcircuit, which
+        # scans every gate: a seed's is the full circuit reduced on its
+        # placement, and no fragment has a gate left to run.
+        from qcmap.mapper import _solve
+        rng = random.Random(271)
+        cases = [(Circuit.from_ops(4, [("cx", (0, 1)), ("cx", (1, 2))] + [("cx", (0, 2))] * 30),
+                  grid_square(2, 3))]
+        for g in (grid_square(3, 3), aspen(), linear(6)):
+            for _ in range(3):
+                q = rng.randrange(3, 5)
+                ops = [(gate.label, gate.qubits) for gate in gen_random_circuit(RandomCircuitSpec(
+                    q, rng.randrange(8, 16), 0.8, rng.randrange(1000))).gates]
+                # Qubit q carries single-qubit gates alone, the last of them
+                # after every other gate; qubit q + 1 is idle.
+                ops.insert(rng.randrange(len(ops) + 1), ("h", (q,)))
+                cases.append((Circuit.from_ops(q + 2, ops + [("t", (q,))]), g))
+        checked = 0
+        for c, g in cases:
+            full = Subcircuit.full(c)
+            p0 = Placement(tuple(rng.sample(range(g.num_nodes), c.num_qubits)))
+            for start in (None, p0):
+                for strict in (False, True):
+                    seen = []
+                    _solve(c, g, start=start, strict=strict, budget=None,
+                           state_cap=DEFAULT_STATE_CAP,
+                           on_level=lambda k, level, phys, mask: seen.append((level, phys, mask)))
+                    for level, phys, mask in seen:
+                        frag = Subcircuit._from_mask(c, mask)
+                        placement = Placement(phys)
+                        assert reduce_subcircuit(frag, placement, g) == frag, (c.gates, g, phys)
+                        if level == 0:
+                            assert reduce_subcircuit(full, placement, g) == frag, (c.gates, g, phys)
+                        checked += 1
+        assert checked > 500, checked
 
     def test_no_state_reported_twice_in_any_mode(self):
         # Across a whole search, over all placements or from a fixed
