@@ -55,7 +55,9 @@ test and the child build read.  The first pass reads the fragment's
 pending pairs from a memo: a fragment seen for the first time ORs the
 per-pair gate masks of ``_CircuitInfo`` into its pair mask, in O(pairs)
 and not O(gates), and fragments with one pair mask share one entry.
-Nothing is kept per placement but its signature and its seed fragment.
+Nothing is kept per placement but its signature (its adjacent pairs,
+read from the masks) and its seed fragment; an occupancy table per
+placement was measured no faster.
 
 Seeds and children take one path: a new state is recorded in a closed
 map, which ``state_cap`` bounds, then returned if it is finished or else
@@ -93,16 +95,10 @@ lies within the first j layers, and a reduced state runs nothing until
 its next SWAP, so s more SWAPs leave the done gates within the first
 j + s layers, and the state needs h_w = B + 1 - j more SWAPs at least.
 
-Each step is one ascending scan over the gates not yet in a layer, in
-the shape of the fragment reduction: per qubit it keeps the pair set of
-the last gate the step added on that line, with its ancestors outside D,
-and a gate refused blocks its qubits, as every later gate on them has it
-as an ancestor.  Embedding answers are kept per pair set.  A "yes" keeps
-a witness placement, and a new set is answered "yes" by growing the
-witness of a smaller one, placing only the qubits it lacks, or by the
-witness of a kept set that holds it.  A "no" comes from a kept set that
-does not embed and lies inside the new one, or from an odd cycle on a
-bipartite graph.  A backtrack runs only when none of these answers.
+Each step is one ascending scan over the gates not yet in a layer, and
+each pair set's embedding is answered once; ``_window_bound`` gives why
+the scan builds these steps and the order of its answers, the last of
+which is bucket 0's seed backtrack.
 
 The search reads the layers once bucket 0 (the embedding test) has
 failed and bucket 1 has yielded more seeds than the circuit has gates;
@@ -188,8 +184,6 @@ from .coupling import CouplingGraph
 from .errors import ResourceLimitError
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable
-
     from .subcircuits import SubcircuitDescriptor
 
 DEFAULT_STATE_CAP = 1_000_000
@@ -342,39 +336,33 @@ class _CircuitInfo:
 
     @cached_property
     def backtrack(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """The seed backtrack's qubit order, per position the qubit's degree
-        and its partners placed before it (``_backtrack_order``)."""
-        return _backtrack_order(self.partners)
-
-
-def _backtrack_order(partners: list[int]) -> tuple[
-        tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """A backtrack's qubit order for the partner masks ``partners`` and,
-    per position, the qubit's degree and its partners placed before it.
-    Each next qubit is the one with most partners already placed, then
-    most partners, then lowest index; so the idle qubits come last."""
-    degree = [p.bit_count() for p in partners]
-    # Per qubit, its partners placed so far, in order, and its key: that
-    # count times a stride above every degree, plus its degree.  max()
-    # keeps the first of equal keys, and rest stays in index order.
-    placed: list[list[int]] = [[] for _ in partners]
-    key = degree[:]
-    stride = len(partners)
-    rest = list(range(len(partners)))
-    order, back = [], []
-    while rest:
-        best = max(rest, key=key.__getitem__)
-        rest.remove(best)
-        order.append(best)
-        back.append(tuple(placed[best]))
-        m = partners[best]
-        while m:
-            low = m & -m
-            m ^= low
-            r = low.bit_length() - 1
-            placed[r].append(best)
-            key[r] += stride
-    return tuple(order), tuple(degree[q] for q in order), tuple(back)
+        """The seed backtrack's qubit order and, per position, the qubit's
+        degree and its partners placed before it.  Each next qubit is the
+        one with most partners already placed, then most partners, then
+        lowest index; so the idle qubits come last."""
+        partners = self.partners
+        degree = [p.bit_count() for p in partners]
+        # Per qubit, its partners placed so far, in order, and its key: that
+        # count times a stride above every degree, plus its degree.  max()
+        # keeps the first of equal keys, and rest stays in index order.
+        placed: list[list[int]] = [[] for _ in partners]
+        key = degree[:]
+        stride = len(partners)
+        rest = list(range(len(partners)))
+        order, back = [], []
+        while rest:
+            best = max(rest, key=key.__getitem__)
+            rest.remove(best)
+            order.append(best)
+            back.append(tuple(placed[best]))
+            m = partners[best]
+            while m:
+                low = m & -m
+                m ^= low
+                r = low.bit_length() - 1
+                placed[r].append(best)
+                key[r] += stride
+        return tuple(order), tuple(degree[q] for q in order), tuple(back)
 
 
 def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, ...] | None = None):
@@ -401,6 +389,10 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, .
     prefix, so no placement below a prefix that cannot lead its orbit is
     built.  Call it with k > 0 only if some pair interacts: with none,
     every placement has h = 0.
+
+    At k = 0 this is the embedding test of the interaction topology, the
+    one that a budget-0 ``decide`` runs; the gate-order bound asks it too,
+    through ``_embedding``, for each pattern its cheaper answers leave.
     """
     if start is not None:
         if max([graph.distances[start[a]][start[b]] for a, b in info.pairs], default=1) - 1 == k:
@@ -500,71 +492,21 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, .
         cands[i] = cand
 
 
-def _embeds(partners: list[int], graph: CouplingGraph, order: Iterable[int]) -> list[int] | None:
-    """A placement of the qubits on distinct nodes such that each qubit's
-    partners (a bitmask per qubit) sit on nodes adjacent to its own: per
-    qubit its node, -1 for a qubit without partners.  None when there is
-    none.
-
-    The Hall count on the room sets of ``graph.within(1)`` comes first,
-    then a backtrack over the adjacency masks that places the qubits with
-    partners in the order of ``order``, any order of the qubits; each
-    position reads the partners placed before it as a bit mask.  The
-    first qubit tries only nodes that no automorphism in
-    ``graph.automorphisms`` maps lower: every orbit's least node is among
-    them, and an automorphism moves any embedding onto one that puts the
-    first qubit there.  Call it with at least one pair.
-    """
-    room = graph.within(1)[1]
-    c = 0
-    for d in sorted((m.bit_count() for m in partners), reverse=True):
-        c += 1
-        if room[d].bit_count() < c:
-            return None
-    # Per position, its qubit, the nodes with room for its partners and
-    # the mask of its partners placed before it.
-    seq, fits, back = [], [], []
-    placed = 0
-    for q in order:
-        m = partners[q]
-        if m:
-            seq.append(q)
-            fits.append(room[m.bit_count()])
-            back.append(m & placed)
-            placed |= 1 << q
-    size = len(seq)
-    adj = graph.adjacency_masks
-    lowest = (1 << graph.num_nodes) - 1
-    for down in graph.automorphism_masks[1]:
-        lowest &= ~down
-    pos = [-1] * len(partners)
-    # Depth-first over positions, as in _seeds: cands[i] holds the nodes
-    # still to try at position i, free[i] the nodes left free before it.
-    cands = [0] * size
-    free = [0] * (size + 1)
-    free[0] = (1 << graph.num_nodes) - 1
-    cands[0] = lowest & fits[0]
-    i = 0
-    while i >= 0:
-        cand = cands[i]
-        if not cand:
-            i -= 1
-            continue
-        low = cand & -cand
-        cands[i] = cand ^ low
-        pos[seq[i]] = low.bit_length() - 1
-        i += 1
-        if i == size:
-            return pos
-        free[i] = free[i - 1] ^ low
-        cand = free[i] & fits[i]
-        m = back[i]
-        while m:
-            r = m & -m
-            m ^= r
-            cand &= adj[pos[r.bit_length() - 1]]
-        cands[i] = cand
-    return None
+def _embedding(partners: list[int], graph: CouplingGraph) -> tuple[list[int], int] | None:
+    """A witness that the pattern whose partner masks are ``partners``
+    embeds in ``graph``: per qubit its node, -1 for a qubit without
+    partners, and the mask of the nodes taken.  None when it does not
+    embed.  Bucket 0's seed backtrack answers it, on one CNOT per pair:
+    a placement with h = 0 puts every pair on an edge, and ``_seeds``
+    keeps one per orbit.  Call it with at least one pair and with no more
+    qubits than nodes."""
+    nq = len(partners)
+    ops = [("cx", (a, b)) for a in range(nq) for b in range(a + 1, nq) if partners[a] >> b & 1]
+    pos = next(_seeds(_CircuitInfo(Circuit.from_ops(nq, ops)), graph, 0), None)
+    if pos is None:
+        return None
+    pos = [p if partners[q] else -1 for q, p in enumerate(pos)]
+    return pos, sum(1 << p for p in pos if p >= 0)
 
 
 def _odd_cycle(partners: list[int]) -> bool:
@@ -598,24 +540,27 @@ def _odd_cycle(partners: list[int]) -> bool:
 
 def _extend(witness: tuple[list[int], int], new: int, pairs: list[tuple[int, int]],
             links: list[list[tuple[int, int]]], adj: tuple[int, ...],
-            hubs: int) -> tuple[list[int], int] | None:
+            hub: int) -> tuple[list[int], int] | None:
     """A witness for a pattern that embeds plus the pairs of the mask
     ``new``, grown from that pattern's ``witness``: per qubit its node, or
     -1, and the mask of the nodes taken.  None when this greedy growth
     fails, which says nothing about whether the larger pattern embeds.
 
-    Only the qubits the witness lacks are placed.  A new pair between two
-    placed qubits must already lie on an edge.  The next qubit placed is
-    the other operand of the first new pair with one operand placed; it
-    goes on the lowest free node adjacent to all its placed partners
-    (``links``: per qubit, each of its pairs' bit with the other
-    operand).  When no new pair touches a placed qubit, an operand of the
-    first one starts a free edge: it goes on the lowest free node of the
-    largest degree (``hubs``), or else on the lowest free node with a
-    free neighbour.
+    Only the qubits the witness lacks are placed.  Growth from the empty
+    witness starts with the first new pair's first operand on ``hub``.  A
+    new pair between two placed qubits must already lie on an edge.  The
+    next qubit placed is the other operand of the first new pair with one
+    operand placed; it goes on the lowest free node adjacent to all its
+    placed partners (``links``: per qubit, each of its pairs' bit with the
+    other operand).  The gate-order scan's patterns are connected, so such
+    a pair is always left until every new pair is placed; the growth fails
+    if none is.
     """
     pos, taken = witness
     pos = pos[:]
+    if not taken:
+        pos[pairs[(new & -new).bit_length() - 1][0]] = hub
+        taken = 1 << hub
     loose = 0  # the new pairs with an operand not yet placed
     m = new
     while m:
@@ -640,22 +585,7 @@ def _extend(witness: tuple[list[int], int], new: int, pairs: list[tuple[int, int
                 x = a
                 break
         else:
-            x = pairs[(loose & -loose).bit_length() - 1][0]
-            m = free & hubs
-            if m:
-                low = m & -m
-            else:
-                m = free
-                while m:
-                    low = m & -m
-                    m ^= low
-                    if adj[low.bit_length() - 1] & free:
-                        break
-                else:
-                    return None
-            pos[x] = low.bit_length() - 1
-            free ^= low
-            continue
+            return None
         cand = free
         for bit, y in links[x]:
             if loose & bit and pos[y] >= 0:
@@ -669,33 +599,15 @@ def _extend(witness: tuple[list[int], int], new: int, pairs: list[tuple[int, int
     return pos, ((1 << len(adj)) - 1) ^ free
 
 
-def _fit_above(witnesses: dict[int, tuple[list[int], int]], pm: int) -> tuple[list[int], int] | None:
-    """The witness of a kept pattern that holds every pair of the mask
-    ``pm``, which is a witness for ``pm`` too; None if no kept one does."""
-    for m, w in witnesses.items():
-        if not pm & ~m:
-            return w
-    return None
-
-
 def _window_bound(info: _CircuitInfo, graph: CouplingGraph) -> tuple[int, ...]:
     """The greedy layers of gate order: gate masks L_1, ..., L_{B+1},
     where L_i holds the gates that step i adds.  B, the number of steps
     less one, is a lower bound on the SWAPs of every plan.
 
-    Between two SWAPs the placement is fixed, so the gates that run there
-    (a window) have their operand pairs on edges: the window's pairs
-    embed in the graph.  A step from a downset D of done gates adds every
-    gate g outside D whose pairs, with those of g's ancestors outside D
-    (g's closure), embed.  Any one window after D adds only such gates,
-    since a window that runs g runs its ancestors outside D too and a
-    subset of an embeddable pair set embeds; and a larger D adds more.
-    So after s SWAPs, s + 1 windows, the done gates lie inside s + 1
-    steps from the empty set, and a plan costs at least the number of
-    steps that cover the circuit, less one.  Strict mode and fixed starts
-    only restrict plans, so the bound holds there too.  The same argument
-    from a state gives the search its per-state bound (see the module
-    docstring).
+    Why B bounds every plan, and each state's h_w its SWAPs still to
+    come, is in the module docstring: a step from a downset D of done
+    gates adds every gate g outside D whose pairs, with those of g's
+    ancestors outside D (g's closure), embed.
 
     A step is one ascending scan over the gates outside D, the shape of
     the search's fragment reduction.  Per qubit it keeps the closure of
@@ -715,19 +627,20 @@ def _window_bound(info: _CircuitInfo, graph: CouplingGraph) -> tuple[int, ...]:
     A pair mask's embedding is answered once, and kept.  Each "yes"
     keeps a witness: per qubit its node, and the nodes taken.  A new
     closure is tried first by growing the witness of the larger of its
-    lines' closures (``_extend``), placing only the qubits it lacks; then
-    by the witness of a kept pattern that holds it (``_fit_above``).
-    Neither ever answers "no".  A closure that holds a pattern known not
-    to embed does not embed; on a bipartite graph, nor does one with an
-    odd cycle (``_odd_cycle``).  Only then does the ``_embeds`` backtrack
-    run, in the seed backtrack's qubit order (``info.backtrack``), and
-    its witness is kept.  Call it with no more qubits than nodes.
+    lines' closures (``_extend``), placing only the qubits it lacks,
+    which never answers "no".  A closure's pairs are connected, since
+    each ancestor reaches the gate through gates outside D that share a
+    qubit; so a growth starts a component only from the empty witness.
+    A closure that holds a pattern known not to embed does not embed; on
+    a bipartite graph, nor does one with an odd cycle (``_odd_cycle``).
+    Only then does bucket 0's seed backtrack answer it (``_embedding``),
+    and its witness is kept.  Call it with no more qubits than nodes.
     """
     pairs, gate_pair, gate_qubits = info.pairs, info.gate_pair, info.gate_qubits
     used = info.used_qubits
     nq = info.num_qubits
     adj = graph.adjacency_masks
-    hubs = graph.within(1)[1][graph.max_degree()]  # the nodes of the largest degree
+    hub = max(range(len(adj)), key=lambda v: adj[v].bit_count())  # lowest of largest degree
     links: list[list[tuple[int, int]]] = [[] for _ in range(nq)]
     for pi, (a, b) in enumerate(pairs):
         links[a].append((1 << pi, b))
@@ -738,9 +651,7 @@ def _window_bound(info: _CircuitInfo, graph: CouplingGraph) -> tuple[int, ...]:
     misfits: list[int] = []
 
     def embeds(pm: int, base: int) -> bool:
-        w = _extend(witnesses[base], pm & ~base, pairs, links, adj, hubs)
-        if w is None:
-            w = _fit_above(witnesses, pm)
+        w = _extend(witnesses[base], pm & ~base, pairs, links, adj, hub)
         if w is None:
             for m in misfits:
                 if not m & ~pm:
@@ -753,16 +664,11 @@ def _window_bound(info: _CircuitInfo, graph: CouplingGraph) -> tuple[int, ...]:
                 a, b = pairs[low.bit_length() - 1]
                 partners[a] |= 1 << b
                 partners[b] |= 1 << a
-            pos = (None if graph.is_bipartite() and _odd_cycle(partners)
-                   else _embeds(partners, graph, info.backtrack[0]))
-            if pos is None:
+            w = (None if graph.is_bipartite() and _odd_cycle(partners)
+                 else _embedding(partners, graph))
+            if w is None:
                 misfits.append(pm)
                 return False
-            taken = 0
-            for p in pos:
-                if p >= 0:
-                    taken |= 1 << p
-            w = pos, taken
         witnesses[pm] = w
         return True
 
@@ -807,58 +713,24 @@ def _window_bound(info: _CircuitInfo, graph: CouplingGraph) -> tuple[int, ...]:
 def _search(info: _CircuitInfo, graph: CouplingGraph, start: tuple[int, ...] | None, *,
             strict: bool, bound: int | float, state_cap: int, on_level=None):
     """The search engine: best-first over (placement, fragment) states,
-    with enhanced partial expansion (see the module docstring).
+    with enhanced partial expansion.  The module docstring gives the
+    account of it: the buckets and their seeds, the passes, the closed
+    map, the gate-order layers and why the first finished state is
+    optimal.
 
-    Buckets are swept from 0, and each records every seed that
-    ``_seeds`` yields for it: a fixed ``start`` in the bucket of its own
-    h, or for a free search (``start`` None) the orbit leaders of
-    ``graph.automorphisms`` that run a gate.  Once bucket 1 has yielded
-    more seeds than the circuit has gates, the gate-order layers
-    (``_window_bound``) are read: a ``bound`` below B returns None at once,
-    a B above 1 starts the sweep at bucket B, which seeds buckets 1 to B,
-    and from then on a state whose level plus h_w exceeds k waits,
-    unpassed, in the bucket of that sum (see the module docstring).
-    Seeding reads the room sets and the adjacency masks alone: it ends at
-    the first bucket k >= 1 whose ``graph.within(k)`` balls hold every
-    node, and a placement's signature (its adjacent pairs) is read from
-    the masks.  Only a
-    state's first pass reads the distance table, so it is built when a
-    bucket's count passes, or at once for a fixed start.  A free search
-    drops a child equal to its placement's seed state; a fixed start
-    keeps it.  States with f above ``bound`` are never built
-    (``math.inf`` for a solve).  Returns (cost, initial placement, swaps)
-    for the first finished fragment, which is optimal, or None when
-    nothing within the bound finishes.
+    ``start`` is a fixed initial placement, the one seed of its search,
+    or None for a free search over the orbit leaders of
+    ``graph.automorphisms`` that run a gate.  States with f above
+    ``bound`` are never built (``math.inf`` for a solve).  Returns (cost,
+    initial placement, swaps) for the first finished fragment, which is
+    optimal, or None when nothing within the bound finishes.
 
-    One loop per bucket k passes one frontier entry at a time: it pops
-    the entry at the deepest level, and when the bucket runs dry it takes
-    the next seed as the bucket's level-0 entry.  An entry is a state and
-    a mask of SWAP slots (qubit * max degree + index of the edge among its
-    node's neighbors); an empty mask marks the state's first pass, which
-    lifts the state to a later bucket if its h_w asks for one, and
-    otherwise re-files the state at its own level in buckets k+1 and k+2
-    with the SWAPs whose children land there.  An entry whose level is no
-    longer its state's record is stale, and is skipped.  A pass builds the
-    children whose f is k and files them at the next level of bucket k.
-
-    Each pass fills the placement's occupancy (node -> qubit, or -1)
-    once, in one list that the search reuses; the slot test reads it for
-    the qubit across each edge and the child build for the qubit to move
-    back.  A first pass reads the
-    fragment's pending pairs and per-qubit partners from
-    ``pending_memo``; on a fragment's first visit its pair mask is ORed
-    from ``info.pair_gates``, and ``by_pairs`` keeps one entry per pair
-    mask.  Per interned placement only its signature and seed fragment
-    are stored; an occupancy table per placement was measured no faster.
-
-    The closed map keeps each state's level with its parent link.  A
-    state reached again is skipped unless it is reached at a strictly
-    lower level; then it takes the new link and is filed again, for a
-    new first pass.  Only a search that reads the layers ever reaches a
-    state lower: a child is recorded in its parent's bucket before its
-    h_w lifts it, and can be reached lower before its own bucket is swept.
-    A state is passed only in the bucket of its own f, at its lowest
-    level, so the first finished state is optimal.
+    A frontier entry is a state and a mask of SWAP slots (qubit * max
+    degree + index of the edge among its node's neighbors).  An empty
+    mask marks the state's first pass, which lifts the state to a later
+    bucket if its h_w asks for one, and otherwise re-files it at its own
+    level in buckets k+1 and k+2 with the SWAPs whose children land
+    there.
 
     ``on_level(k, level, placement, fragment mask)`` sees each state on
     the first pass that it is not lifted from, a seed that finished

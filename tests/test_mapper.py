@@ -891,18 +891,16 @@ class TestWindowBound:
                 yield c, g, Placement(tuple(rng.sample(range(g.num_nodes), c.num_qubits)))
 
     def test_embedding_test_matches_every_placement(self):
-        # The bound's embedding test, with its Hall count and its first
-        # qubit kept to nodes no automorphism maps lower, against every
-        # injective placement, on graphs with large and with no groups;
-        # the backtrack's qubit order, index order and a shuffled order
-        # all give the same answer, and each witness it gives puts the
-        # qubits with partners on distinct nodes and every pair on an
-        # edge.  On a bipartite graph the odd-cycle rule refutes only
-        # patterns that do not embed.
-        from qcmap.mapper import _backtrack_order, _embeds, _odd_cycle
+        # The bound's last embedding answer, bucket 0's seed backtrack on
+        # one CNOT per pair, against every injective placement, on graphs
+        # with large and with no automorphism groups.  Each witness it
+        # gives puts the qubits with partners on distinct nodes, every
+        # other qubit at -1 and every pair on an edge, and its node mask
+        # holds just their nodes.  On a bipartite graph the odd-cycle rule
+        # refutes only patterns that do not embed.
+        from qcmap.mapper import _embedding, _odd_cycle
         star = CouplingGraph(6, [(0, leaf) for leaf in range(1, 6)])
         rng = random.Random(137)
-        shuffler = random.Random(138)
         answers = set()
         refuted = 0
         for g in (cycle(6), grid_square(2, 3), star, generalized_petersen(5, 2), linear(5),
@@ -917,17 +915,16 @@ class TestWindowBound:
                     partners[b] |= 1 << a
                 fits = any(all(g.has_edge(p[a], p[b]) for a, b in pairs)
                            for p in itertools.permutations(range(g.num_nodes), qubits))
-                shuffled = list(range(qubits))
-                shuffler.shuffle(shuffled)
-                for order in (_backtrack_order(partners)[0], range(qubits), shuffled):
-                    witness = _embeds(partners, g, order)
-                    assert (witness is not None) == fits, (g, pairs, order)
-                    if witness is not None:
-                        held = [witness[q] for q in range(qubits) if partners[q]]
-                        assert len(set(held)) == len(held) and min(held) >= 0, (g, pairs, witness)
-                        assert all(witness[q] == -1 for q in range(qubits) if not partners[q])
-                        assert all(g.has_edge(witness[a], witness[b]) for a, b in pairs), (
-                            g, pairs, witness)
+                witness = _embedding(partners, g)
+                assert (witness is not None) == fits, (g, pairs)
+                if witness is not None:
+                    pos, taken = witness
+                    held = [pos[q] for q in range(qubits) if partners[q]]
+                    assert len(set(held)) == len(held) and min(held) >= 0, (g, pairs, pos)
+                    assert all(pos[q] == -1 for q in range(qubits) if not partners[q]), (
+                        g, pairs, pos)
+                    assert all(g.has_edge(pos[a], pos[b]) for a, b in pairs), (g, pairs, pos)
+                    assert taken == sum(1 << p for p in held), (g, pairs, witness)
                 if g.is_bipartite() and _odd_cycle(partners):
                     assert not fits, (g, pairs)
                     refuted += 1
@@ -1032,27 +1029,46 @@ class TestWindowBound:
         # gate's closure, taken from Circuit.direct_predecessors, against
         # every injective placement.  Graphs: bipartite, trees and
         # non-bipartite; circuits: all-CNOT and mixed, some with an idle
-        # qubit.  Each way the scan answers an embedding (a grown
-        # witness, a kept fit that holds the pattern, the odd-cycle rule
-        # and the backtrack's yes and no) runs often enough that a wrong
-        # answer on it would show.
+        # qubit.  Each way the scan answers an embedding (a grown witness,
+        # the odd-cycle rule, and bucket 0's seed backtrack's yes and no)
+        # runs often enough that a wrong answer on it would show.  A
+        # growth from a witness that places a qubit reaches every new pair
+        # through pairs at placed qubits, since each closure's pairs are
+        # connected, so only a growth from the empty witness starts a
+        # component; both kinds run.
         from helpers import reference_layers
         from qcmap import mapper
         paths = collections.Counter()
 
-        def count(name, path):
-            real = getattr(mapper, name)
+        real_odd_cycle, real_extend = mapper._odd_cycle, mapper._extend
 
-            def counted(*args):
-                out = real(*args)
-                paths[path(out)] += 1
-                return out
-            monkeypatch.setattr(mapper, name, counted)
+        def odd_cycle(partners):
+            odd = real_odd_cycle(partners)
+            paths["odd cycle"] += odd
+            return odd
 
-        count("_extend", lambda w: "grown" if w is not None else None)
-        count("_fit_above", lambda w: "kept fit" if w is not None else None)
-        count("_odd_cycle", lambda odd: "odd cycle" if odd else None)
-        count("_embeds", lambda w: "backtrack yes" if w is not None else "backtrack no")
+        def extend(witness, new, pairs, *rest):
+            reached = {q for q, p in enumerate(witness[0]) if p >= 0}
+            paths["from a witness" if reached else "from nothing"] += 1
+            loose = [pairs[i] for i in range(len(pairs)) if new >> i & 1]
+            reached = reached or set(loose[0])
+            while loose:
+                touching = [pair for pair in loose if reached.intersection(pair)]
+                assert touching, (witness, new, pairs)
+                loose = [pair for pair in loose if pair not in touching]
+                reached.update(*touching)
+            w = real_extend(witness, new, pairs, *rest)
+            paths["grown"] += w is not None
+            return w
+        real_seeds = mapper._seeds
+
+        def seeds(info, graph, k, start=None):
+            found = list(itertools.islice(real_seeds(info, graph, k, start), 1))
+            paths["backtrack yes" if found else "backtrack no"] += 1
+            return iter(found)
+        monkeypatch.setattr(mapper, "_odd_cycle", odd_cycle)
+        monkeypatch.setattr(mapper, "_extend", extend)
+        monkeypatch.setattr(mapper, "_seeds", seeds)
         star = CouplingGraph(6, [(0, leaf) for leaf in range(1, 6)])
         rng = random.Random(263)
         cases = []
@@ -1069,14 +1085,13 @@ class TestWindowBound:
                 if q < g.num_nodes and rng.random() < 0.25:
                     c = Circuit.from_ops(q + 1, [(gate.label, gate.qubits) for gate in c.gates])
                 cases.append((c, g))
-        # On trees a grown witness can fail where a kept fit answers, most
-        # often on 5-qubit all-CNOT draws.
+        # 5-qubit all-CNOT draws on trees, where a grown witness fails
+        # most often.
         cases += [(gen_random_circuit(RandomCircuitSpec(5, 20, 1.0, seed)), g)
                   for g in (linear(5), star) for seed in range(60)]
         for c, g in cases:
             assert window_layers(c, g) == reference_layers(c, g), (c.gates, g)
-        del paths[None]
-        floors = {"grown": 1500, "kept fit": 8, "odd cycle": 200,
+        floors = {"grown": 1500, "odd cycle": 200, "from nothing": 700, "from a witness": 1500,
                   "backtrack yes": 250, "backtrack no": 300}
         assert all(paths[path] >= floor for path, floor in floors.items()), paths
         assert sum(c.num_qubits > len({q for gate in c.gates for q in gate.qubits})
