@@ -18,15 +18,16 @@ interacting pair within K+1 hops; at K = 0 that is the embedding test of
 the interaction topology.  A count comes first: a qubit with d partners
 needs a node with d others within K+1 hops, and if the c-th largest
 degree has fewer than c such nodes (Hall's condition) the bucket has no
-seed and its backtrack never runs.  Seeding reads the room sets that
-``CouplingGraph.within`` grows from the adjacency masks, and the masks
-themselves: the count, the backtrack's hop limits and its tests for a
-lower bucket and for a gate that runs.  Seeding ends at the first bucket
+seed and its backtrack never runs; nor does bucket 0's on a bipartite
+graph when the topology has an odd cycle.  Seeding reads the room sets
+that ``CouplingGraph.within`` grows from the adjacency masks, and the
+masks themselves: the count, the backtrack's hop limits and its tests
+for a lower bucket and for a gate that runs.  Seeding ends at the first bucket
 K >= 1 whose K-hop balls hold every node, since every placement's h is
 then below K.  The distance table is built when a bucket's count passes,
 or at once for a fixed start: the automorphism group and each state's
 first pass read it.  The backtrack's qubit order is built after a count
-passes too, so buckets the count refutes build none of them.  A fixed
+passes too, so buckets these tests refute build none of them.  A fixed
 start is the one seed of its search, in the bucket of its own h.
 ``_seeds`` decides both, so every search sweeps the buckets from 0, or
 from the gate-order bound (below), and records each seed it is given.
@@ -374,20 +375,21 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, .
     k+1 hops and, for k > 0, some pair exactly k+1 hops apart.  Partial
     placements that break the hop limit are never extended.  Nothing is
     yielded, and nothing placed, when the degrees fail Hall's condition on
-    the room sets of k+1 hops: the c-th largest degree must have room on
-    at least c nodes.  The enumeration reads the ``graph.within`` balls of
-    k and k+1 hops and the adjacency masks, never the distance table; only
-    a fixed start reads it here, and otherwise ``graph.automorphisms``
-    builds it once a bucket's count passes.  A placement that runs no
-    gate (no pair of ``info.front_pairs`` adjacent) is dropped once its
-    interacting qubits are placed, before the idle ones: each of its SWAP
-    children is the seed state of its own placement (see the module
-    docstring).  A placement is yielded only if, read in backtrack order
-    (``info.backtrack``), it is lexicographically no larger than its
-    image under each of ``graph.automorphisms``; under a complete group
-    that is one placement per orbit, its leader.  The test runs on every
-    prefix, so no placement below a prefix that cannot lead its orbit is
-    built.  Call it with k > 0 only if some pair interacts: with none,
+    the room sets of k+1 hops: the c-th largest degree must have room on at
+    least c nodes; nor at k = 0 on a bipartite graph when the pattern has
+    an odd cycle (``_odd_cycle``).  The enumeration reads the
+    ``graph.within`` balls of k and k+1 hops and the adjacency masks, never
+    the distance table; only a fixed start reads it here, and otherwise
+    ``graph.automorphisms`` builds it once a bucket passes these tests.  A
+    placement that runs no gate (no pair of ``info.front_pairs`` adjacent)
+    is dropped once its interacting qubits are placed, before the idle
+    ones: each of its SWAP children is the seed state of its own placement
+    (see the module docstring).  A placement is yielded only if, read in
+    backtrack order (``info.backtrack``), it is lexicographically no larger
+    than its image under each of ``graph.automorphisms``; under a complete
+    group that is one placement per orbit, its leader.  The test runs on
+    every prefix, so no placement below a prefix that cannot lead its orbit
+    is built.  Call it with k > 0 only if some pair interacts: with none,
     every placement has h = 0.
 
     At k = 0 this is the embedding test of the interaction topology, the
@@ -409,6 +411,9 @@ def _seeds(info: _CircuitInfo, graph: CouplingGraph, k: int, start: tuple[int, .
         c += 1
         if room[d].bit_count() < c:
             return
+    # At k = 0 a pattern with an odd cycle has no seed on a bipartite graph.
+    if not k and graph.is_bipartite() and _odd_cycle(info.partners):
+        return
     if not info.num_qubits:
         yield ()
         return

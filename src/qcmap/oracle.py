@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .circuits import Circuit
@@ -32,28 +33,41 @@ class VerificationReport:
     strict: bool = True
 
 
-def _advance(c: Circuit, g: CouplingGraph, pos: list[int], executed: set[int]) -> None:
-    """Execute every gate that can run, straight from the definition:
-    a gate runs once all earlier gates sharing one of its qubits have run
-    and (for two-qubit gates) its operands sit on adjacent nodes.
+def _advance(c: Circuit, g: CouplingGraph, pos: Sequence[int],
+             pending: Iterable[int]) -> list[int]:
+    """Execute every gate that can run, straight from the definition, and
+    return the gates still pending: a gate runs once all earlier gates
+    sharing one of its qubits have run and (for two-qubit gates) its
+    operands sit on adjacent nodes, an edge of ``g.edges``.
 
-    Each pass scans the gates in order and collects the qubits of the
-    gates it leaves pending: a later gate on one of those qubits still has
-    an earlier gate sharing it that has not run."""
-    changed = True
-    while changed:
-        changed = False
-        blocked: set[int] = set()
-        for gate in c.gates:
-            i = gate.index
-            if i in executed:
+    One ascending scan over the indices ``pending`` reaches the fixpoint.
+    It keeps the mask of the qubits of the gates it leaves pending.  When
+    it reaches a gate, every earlier gate has run or been left pending in
+    this scan, so an earlier gate sharing a qubit has not run exactly when
+    one of the gate's qubits is in the mask: the definition's condition.
+    After the scan no pending gate can run, since it is blocked by a gate
+    that is still pending or by operand nodes that have not moved.  So a
+    caller carries the list to the next SWAP, and the gates that ran are
+    never scanned again."""
+    gates, edges = c.gates, g.edges
+    blocked = 0
+    left = []
+    for i in pending:
+        qubits = gates[i].qubits
+        if len(qubits) == 2:
+            a, b = qubits
+            qs = 1 << a | 1 << b
+            if not blocked & qs:
+                x, y = pos[a], pos[b]
+                if ((x, y) if x < y else (y, x)) in edges:
+                    continue
+        else:
+            qs = 1 << qubits[0]
+            if not blocked & qs:
                 continue
-            if blocked.intersection(gate.qubits) or (
-                    gate.is_two_qubit and not g.has_edge(pos[gate.qubits[0]], pos[gate.qubits[1]])):
-                blocked.update(gate.qubits)
-                continue
-            executed.add(i)
-            changed = True
+        blocked |= qs
+        left.append(i)
+    return left
 
 
 def verify_plan(c: Circuit, g: CouplingGraph, plan: SwapPlan) -> VerificationReport:
@@ -63,10 +77,8 @@ def verify_plan(c: Circuit, g: CouplingGraph, plan: SwapPlan) -> VerificationRep
         if not g.has_edge(a, b):
             raise ValueError(f"swap ({a}, {b}) is not an edge of the graph")
     pos = list(plan.initial.to_physical)
-    executed: set[int] = set()
-    _advance(c, g, pos, executed)
-    total = len(c.gates)
-    if len(executed) == total:
+    pending = _advance(c, g, pos, range(len(c.gates)))
+    if not pending:
         return VerificationReport(True, 0, None)
     strict = True
     for step, (a, b) in enumerate(plan.swaps, start=1):
@@ -76,20 +88,20 @@ def verify_plan(c: Circuit, g: CouplingGraph, plan: SwapPlan) -> VerificationRep
                 pos[q] = b
             elif pos[q] == b:
                 pos[q] = a
-        _advance(c, g, pos, executed)
-        if len(executed) == total:
+        pending = _advance(c, g, pos, pending)
+        if not pending:
             return VerificationReport(True, step, None, strict)
-    left = total - len(executed)
     return VerificationReport(
         False, len(plan.swaps),
-        (len(plan.swaps), f"{left} gate(s) still pending at end of plan"), strict,
+        (len(plan.swaps), f"{len(pending)} gate(s) still pending at end of plan"), strict,
     )
 
 
 def brute_force_g(c: Circuit, g: CouplingGraph, *, max_qubits: int = 4,
                   max_nodes: int = 5, max_gates: int = 8,
                   strict: bool = False) -> MapResult:
-    """Exhaustive BFS over (occupancy, pending-gates) states.
+    """Exhaustive BFS over (occupancy, pending-gates) states; a state's
+    pending gates are the index tuple that ``_advance`` leaves.
 
     Guards refuse instances beyond (max_qubits, max_nodes, max_gates);
     pass larger limits explicitly to override.  Exact but exponential.
@@ -102,15 +114,12 @@ def brute_force_g(c: Circuit, g: CouplingGraph, *, max_qubits: int = 4,
     n, b = c.num_qubits, g.num_nodes
     if n > b:
         return MapResult(math.inf, None)
-    total = len(c.gates)
     edges = g.sorted_edges
     parents: dict[tuple, tuple | None] = {}
     queue: deque[tuple] = deque()
 
-    def settle(pos: tuple[int, ...], rem: frozenset[int]) -> frozenset[int]:
-        executed = set(range(total)) - rem
-        _advance(c, g, list(pos), executed)
-        return frozenset(range(total)) - executed
+    def settle(pos: tuple[int, ...], rem: Iterable[int]) -> tuple[int, ...]:
+        return tuple(_advance(c, g, pos, rem))
 
     def unwind(key: tuple) -> MapResult:
         swaps: list[tuple[int, int]] = []
@@ -124,7 +133,7 @@ def brute_force_g(c: Circuit, g: CouplingGraph, *, max_qubits: int = 4,
         return MapResult(len(swaps), SwapPlan(Placement(key[0]), tuple(swaps)))
 
     for pos in itertools.permutations(range(b), n):
-        rem = settle(pos, frozenset(range(total)))
+        rem = settle(pos, range(len(c.gates)))
         key = (pos, rem)
         if key in parents:
             continue

@@ -468,12 +468,15 @@ class TestSeedOrbitFilter:
                     assert len(kept) == len(kept_orbits) == len(orbits), (g, c, k)
 
     def test_budget_zero_decide_computes_the_group(self):
+        # K(2,3) has no odd cycle and passes the Hall count on the grid, but
+        # no two grid nodes share three neighbours: only the backtrack,
+        # which reads the group, refutes it.
         g = grid_square(3, 3)
-        c = gen_random_circuit(RandomCircuitSpec(4, 14, 1.0, 0))
+        c = Circuit.from_ops(5, [("cx", (a, b)) for a in (0, 1) for b in (2, 3, 4)])
         assert "automorphisms" not in vars(g)
         assert not decide(c, g, 0)
         assert "automorphisms" in vars(g)
-        assert solve_exact(c, g).cost == 3
+        assert solve_exact(c, g).cost == 1
 
     def test_truncated_group_keeps_bucket_zero_exact(self):
         # Cliques and stars have groups far above 2 * num_nodes elements,
@@ -653,6 +656,79 @@ class TestHallCount:
             assert not self.refutes(inst.circuit, inst.graph, 0), (source, reduce)
             assert not decide(inst.circuit, inst.graph, 0), (source, reduce)
             assert ham_cycle(source) is None, source
+
+
+class TestOddCycleRefutation:
+    """On a bipartite graph ``_seeds`` refutes bucket 0 of an interaction
+    topology with an odd cycle right after the Hall count, so such a
+    budget-0 ``decide`` builds neither the distance table nor the group,
+    nor the backtrack's qubit order."""
+
+    @staticmethod
+    def odd_cycle(c):
+        """Whether two-colouring the interaction topology fails."""
+        partners = collections.defaultdict(set)
+        for gate in c.gates:
+            if len(gate.qubits) == 2:
+                a, b = gate.qubits
+                partners[a].add(b)
+                partners[b].add(a)
+        side = {}
+        for q in partners:
+            if q in side:
+                continue
+            side[q] = 0
+            todo = [q]
+            while todo:
+                x = todo.pop()
+                for y in partners[x]:
+                    if y not in side:
+                        side[y] = 1 - side[x]
+                        todo.append(y)
+                    elif side[y] == side[x]:
+                        return True
+        return False
+
+    def test_odd_cycle_refutes_before_any_table(self, monkeypatch):
+        from qcmap.mapper import _CircuitInfo
+        orders = []
+        backtrack = _CircuitInfo.backtrack
+
+        def recorded(info):
+            orders.append(info)
+            return backtrack.__get__(info, _CircuitInfo)
+
+        monkeypatch.setattr(_CircuitInfo, "backtrack", property(recorded))
+        rng = random.Random(137)
+        for g in (grid_square(3, 3), aspen(), cycle(6), linear(6)):
+            assert g.is_bipartite()
+            text = format_graph(g)
+            most = 4 if g.num_nodes > 9 else 5  # keeps the permutations few
+            circuits = [gen_cycle_circuit(q) for q in range(3, most + 1)]
+            circuits += [gen_path_circuit(most),
+                         Circuit.from_ops(4, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 2)),
+                                              ("h", (3,)), ("cx", (2, 3))]),
+                         Circuit.from_ops(4, [("cx", (0, 1)), ("h", (3,)), ("cx", (1, 2)),
+                                              ("cx", (0, 2))])]
+            circuits += [random_cnot_circuit(rng, rng.randrange(3, most + 1), rng.randrange(3, 8))
+                         for _ in range(12)]
+            refuted = 0
+            for c in circuits:
+                pairs = {tuple(gate.qubits) for gate in c.gates if len(gate.qubits) == 2}
+                embeds = any(all(g.has_edge(p[a], p[b]) for a, b in pairs)
+                             for p in itertools.permutations(range(g.num_nodes), c.num_qubits))
+                for strict in (False, True):
+                    assert decide(c, parse_graph(text), 0, strict=strict) == embeds, (g, c)
+                if not self.odd_cycle(c) or TestHallCount.refutes(c, g, 0):
+                    continue
+                assert not embeds
+                fresh = parse_graph(text)
+                orders.clear()
+                assert not decide(c, fresh, 0)
+                built = {"distances", "diameter", "automorphisms"} & set(vars(fresh))
+                assert not built and not orders, (g, c, built)
+                refuted += 1
+            assert refuted >= 3, (g, refuted)
 
 
 class TestCircuitInfo:

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -9,6 +10,7 @@ from qcmap import (
     Placement,
     ResourceLimitError,
     SwapPlan,
+    VerificationReport,
     brute_force_g,
     clique,
     cycle,
@@ -22,6 +24,7 @@ from qcmap import (
     shortest_path,
     shortest_path_nodes,
     solve_exact,
+    tokyo,
     verify_plan,
 )
 from qcmap.oracle import _advance
@@ -150,6 +153,28 @@ def rescan_advance(c, g, pos, executed):
             changed = True
 
 
+def rescan_verify(c, g, plan):
+    """``verify_plan`` restated on ``rescan_advance``: after every SWAP,
+    every gate is rescanned until nothing changes."""
+    pos = list(plan.initial.to_physical)
+    executed = set()
+    rescan_advance(c, g, pos, executed)
+    total = len(c.gates)
+    if len(executed) == total:
+        return VerificationReport(True, 0, None)
+    strict = True
+    for step, (a, b) in enumerate(plan.swaps, start=1):
+        strict = strict and a in pos and b in pos
+        pos = [b if p == a else a if p == b else p for p in pos]
+        rescan_advance(c, g, pos, executed)
+        if len(executed) == total:
+            return VerificationReport(True, step, None, strict)
+    left = total - len(executed)
+    return VerificationReport(
+        False, len(plan.swaps),
+        (len(plan.swaps), f"{left} gate(s) still pending at end of plan"), strict)
+
+
 class TestAdvance:
     def test_matches_rescan(self):
         rng = random.Random(89)
@@ -160,10 +185,46 @@ class TestAdvance:
                                                      rng.choice((1.0, 0.7)), rng.randrange(10**6)))
             pos = rng.sample(range(g.num_nodes), n)
             start = {i for i in range(len(c.gates)) if rng.random() < 0.3}
-            fast, slow = set(start), set(start)
-            _advance(c, g, pos, fast)
+            pending = [i for i in range(len(c.gates)) if i not in start]
+            fast = set(range(len(c.gates))) - set(_advance(c, g, pos, pending))
+            slow = set(start)
             rescan_advance(c, g, pos, slow)
             assert fast == slow, (c, g, pos, start)
+
+    def test_verify_plan_matches_rescan_replay(self):
+        # Seeded random plans, mostly rejected: the one-scan replay, which
+        # carries the pending gates from SWAP to SWAP, gives the report
+        # of the rescanning replay on each, failure message included.
+        rng = random.Random(131)
+        graphs = [tokyo(), grid_square(3, 3), linear(5), cycle(6)]
+        counts = collections.Counter()
+        for _ in range(4000):
+            g = rng.choice(graphs)
+            n = rng.randrange(2, 6) if rng.random() < 0.95 else rng.randrange(2)
+            if n >= 2:
+                c = gen_random_circuit(RandomCircuitSpec(
+                    n, rng.randrange(1, 18), rng.choice((1.0, 0.7)), rng.randrange(10**6)))
+            else:
+                c = Circuit.from_ops(n, [("h", (0,))] * n * rng.randrange(3))
+            initial = Placement(tuple(rng.sample(range(g.num_nodes), n)))
+            swaps = tuple(rng.choice(g.sorted_edges) for _ in range(rng.randrange(0, 5)))
+            plan = SwapPlan(initial, swaps)
+            report = verify_plan(c, g, plan)
+            assert report == rescan_verify(c, g, plan), (c, g, plan)
+            used = {q for gate in c.gates for q in gate.qubits}
+            counts.update({
+                "accepted": report.accepted,
+                "rejected": not report.accepted,
+                "longer than needed": report.accepted and report.swaps_used < len(swaps),
+                "not strict": not report.strict,
+                "single-qubit gates": any(len(gate.qubits) == 1 for gate in c.gates),
+                "idle qubits": len(used) < n,
+                "no qubits": not n,
+            })
+        assert counts["rejected"] >= 3000, counts
+        for kind in ("accepted", "longer than needed", "not strict", "single-qubit gates",
+                     "idle qubits", "no qubits"):
+            assert counts[kind] >= 50, counts
 
 
 class TestBruteForce:
